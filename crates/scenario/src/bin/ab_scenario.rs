@@ -98,18 +98,7 @@ fn parse_shape(label: &str) -> Option<TopologyShape> {
 }
 
 fn parse_battery(label: &str) -> Option<BatteryKind> {
-    Some(match label {
-        "pings" => BatteryKind::Pings,
-        "streams" => BatteryKind::Streams,
-        "uploads" => BatteryKind::Uploads,
-        "churn" => BatteryKind::Churn,
-        "metro" => BatteryKind::Metro,
-        "contention" => BatteryKind::Contention,
-        "chaos" => BatteryKind::Chaos,
-        "lossy" => BatteryKind::Lossy,
-        "adversarial" => BatteryKind::Adversarial,
-        _ => return None,
-    })
+    BatteryKind::ALL.into_iter().find(|b| b.label() == label)
 }
 
 fn render(mut args: impl Iterator<Item = String>) {

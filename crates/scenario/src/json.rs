@@ -33,6 +33,14 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// An optional count: the number, or `null` when there is none (a
+/// missing measurement must never render as a perfect-looking zero).
+impl From<Option<u64>> for Json {
+    fn from(v: Option<u64>) -> Json {
+        v.map_or(Json::Null, Json::U64)
+    }
+}
+
 impl Json {
     /// An object from `(key, value)` pairs.
     pub fn obj(members: Vec<(&str, Json)>) -> Json {

@@ -166,7 +166,7 @@ pub fn score_report(report: &Report) -> QualityScore {
 impl QualityScore {
     /// Render as the report's `quality` section.
     pub fn to_json(&self) -> Json {
-        let score = |v: Option<u64>| v.map(Json::U64).unwrap_or(Json::Null);
+        let score = Json::from;
         Json::obj(vec![
             ("latency", score(self.latency)),
             ("loss", score(self.loss)),

@@ -3,26 +3,39 @@
 //! verdicts.
 //!
 //! The runner owns the whole lifecycle: generate the topology and the
-//! battery, materialize both into a [`World`], drive the world in fixed
-//! slices (applying the fault script and sampling convergence on the
-//! way), then measure a quiet tail window and judge the invariants:
+//! battery, derive the run's plan (boot list, bridge config, guarded
+//! ports, epoch, quiet-window budget), materialize both into a
+//! [`World`], drive the world in fixed slices (applying the fault script
+//! and sampling convergence on the way), then measure a quiet tail window
+//! and judge the invariants, one plane at a time and in this order:
 //!
-//! * **no storm** — once the workload is done, the wires fall silent
-//!   apart from a bounded spanning-tree hello budget;
-//! * **no loss after convergence** — every expected delivery arrived
-//!   (waived for raw blasts while a drop fault is scripted);
-//! * **no duplicate delivery** — no receiver saw more than was sent
-//!   (waived while a duplicate fault is scripted);
-//! * **single root** — on loopy topologies every bridge agrees who the
-//!   spanning-tree root is.
+//! * **base** (every run) — `connected`, `converged_before_workload`,
+//!   `no_storm` (once the workload is done the wires fall silent apart
+//!   from a bounded spanning-tree hello budget),
+//!   `no_loss_after_convergence` (waived for raw blasts and loaded probes
+//!   while drops or downtime are scripted), `no_duplicate_delivery`
+//!   (waived while duplication or downtime is scripted), `single_root`
+//!   (loopy topologies) and `uploads_alive` (uploads whose module must
+//!   run its `init`);
+//! * **recovery** (scripted downtime; `recovery` section) —
+//!   `reconverges_after_heal` and `no_permanent_blackhole`;
+//! * **resilience** (scripted burst loss; `resilience` section) —
+//!   `uploads_complete_under_loss`, `retries_within_budget`,
+//!   `corrupted_image_never_activates` and `no_livelock`;
+//! * **watchdog** (scripted trapping upload) — `quarantine_engages`;
+//! * **security** (hostile hosts; `security` section) — in the defended
+//!   arm `learn_table_bounded`, `victim_flows_survive`,
+//!   `storm_suppressed_and_released` and `root_stays_stable`; in the
+//!   undefended control arm `attack_degrades_undefended`.
 //!
-//! Reports render to JSON ([`Report::to_json`]) and are byte-identical
-//! across runs with the same seed.
+//! A plane whose workload trigger is absent adds neither invariants nor a
+//! section. Reports render to JSON ([`Report::to_json`]) and are
+//! byte-identical across runs with the same seed.
 
 use active_bridge::{BridgeConfig, BridgeNode, BridgeStats, StormConfig};
 use hostsim::{
-    App, ArpStormApp, BlastApp, HostConfig, HostCostModel, HostNode, MacFloodApp, PingApp,
-    RogueBpduApp, TtcpRecvApp, TtcpSendApp, UploadApp, UploadConfig,
+    App, BlastApp, HostConfig, HostCostModel, HostNode, PingApp, TtcpRecvApp, TtcpSendApp,
+    UploadApp,
 };
 use netsim::{NodeId, PortId, SimDuration, SimTime, World, WorldStats};
 use netstack::tcplite::{ReceiverConfig, SenderConfig};
@@ -32,7 +45,9 @@ use crate::json::Json;
 use crate::quality;
 use crate::sketch::Sketch;
 use crate::topo::{self, Topology, TopologyShape};
-use crate::workload::{self, AppAction, BatteryKind, FaultAction, Phase, Workload};
+use crate::workload::{
+    self, AppAction, AttackKind, BatteryKind, FaultAction, Phase, UploadKind, Workload,
+};
 
 /// The IEEE spanning-tree switchlet name (what [`Topology::default_boot`]
 /// boots on loopy topologies).
@@ -169,7 +184,7 @@ impl AppMetrics {
     /// Render as JSON: summary statistics derived from the buckets, the
     /// validity flag, and the sketch itself.
     pub fn to_json(&self) -> Json {
-        let stat = |v: Option<u64>| v.map(Json::U64).unwrap_or(Json::Null);
+        let stat = Json::from;
         let s = self.sketch.as_ref().filter(|_| self.valid);
         let mut members = vec![
             ("kind", Json::str(self.kind)),
@@ -367,10 +382,7 @@ impl Report {
         let convergence = Json::obj(vec![
             (
                 "converged_at_ns",
-                match self.converged_at {
-                    Some(t) => Json::U64(t.as_ns()),
-                    None => Json::Null,
-                },
+                Json::from(self.converged_at.map(SimTime::as_ns)),
             ),
             ("stp", Json::Bool(self.cyclic)),
         ]);
@@ -474,10 +486,7 @@ impl Report {
                 // rendering 100 here (the old `unwrap_or(100)`) made a
                 // fully-waived run look perfect.
                 "score_percent",
-                match (passed * 100).checked_div(total) {
-                    Some(pct) => Json::U64(pct),
-                    None => Json::Null,
-                },
+                Json::from((passed * 100).checked_div(total)),
             ),
         ]);
         let mut members = vec![
@@ -506,10 +515,7 @@ impl Report {
                     ("crashes", Json::U64(r.crashes)),
                     (
                         "time_to_first_delivery_ns",
-                        match r.time_to_first_delivery {
-                            Some(d) => Json::U64(d.as_ns()),
-                            None => Json::Null,
-                        },
+                        Json::from(r.time_to_first_delivery.map(SimDuration::as_ns)),
                     ),
                 ]),
             ));
@@ -526,10 +532,7 @@ impl Report {
                     ("burst_drops", Json::U64(r.burst_drops)),
                     (
                         "max_stall_ns",
-                        match r.max_stall {
-                            Some(d) => Json::U64(d.as_ns()),
-                            None => Json::Null,
-                        },
+                        Json::from(r.max_stall.map(SimDuration::as_ns)),
                     ),
                 ]),
             ));
@@ -559,8 +562,6 @@ impl Report {
 
 /// One materialized workload item: where its hosts went.
 struct Placed {
-    action: AppAction,
-    phase: Phase,
     sender: NodeId,
     receiver: Option<NodeId>,
     /// The crowd's hosts (empty for every other action).
@@ -642,6 +643,85 @@ pub fn trace_digest(world: &World) -> u64 {
     h
 }
 
+/// Everything a run derives once from `(scenario, topology, workload)`
+/// before the world is built.
+struct Plan {
+    /// Switchlets every bridge boots.
+    boot: &'static [&'static str],
+    /// Configuration every bridge is built with.
+    cfg: BridgeConfig,
+    /// Per bridge, the ports BPDU guard err-disables (all empty unless
+    /// the defense plane is armed).
+    guard: Vec<Vec<usize>>,
+    /// When the workload starts.
+    epoch: SimTime,
+    /// When the run ends (before the quiet window).
+    end: SimTime,
+    /// Frames the quiet window may carry.
+    quiet_allowed: u64,
+}
+
+impl Plan {
+    fn new(scenario: &Scenario, topo: &Topology, wl: &Workload) -> Plan {
+        // Loopy topologies need the spanning tree; hostile batteries boot
+        // it everywhere (BPDU guard and rogue-root detection need it),
+        // even on acyclic shapes.
+        let stp = topo.cyclic() || wl.injects_attacks();
+        let mut cfg = BridgeConfig {
+            expected_stations: wl.host_count() as usize + topo.bridges.len(),
+            ..BridgeConfig::default()
+        };
+        let mut guard = vec![Vec::new(); topo.bridges.len()];
+        if scenario.defended {
+            cfg.learn_cap = DEFENSE_LEARN_CAP;
+            cfg.learn_port_quota = DEFENSE_PORT_QUOTA;
+            cfg.storm_broadcast = Some(DEFENSE_STORM);
+            cfg.storm_unknown = Some(DEFENSE_STORM);
+            // A defended bridge err-disables host-facing edge ports
+            // (segments that touch exactly one bridge) on any received
+            // BPDU: no end system has a legitimate reason to speak
+            // spanning tree.
+            let edge = |seg: &usize| {
+                topo.bridges
+                    .iter()
+                    .filter(|b| b.segments.contains(seg))
+                    .count()
+                    == 1
+            };
+            for (ports, spec) in guard.iter_mut().zip(&topo.bridges) {
+                ports.extend((0..spec.segments.len()).filter(|&port| edge(&spec.segments[port])));
+            }
+        }
+        // A spanning tree must be fully forwarding (two forward-delay
+        // intervals plus margin) before traffic starts.
+        let epoch = if stp {
+            SimTime::from_secs(40)
+        } else {
+            SimTime::from_ms(200)
+        };
+        let end = SimTime::ZERO
+            + scenario.duration.unwrap_or(
+                SimDuration::from_ns(epoch.as_ns()) + wl.span() + SimDuration::from_secs(2),
+            );
+        let total_ports: u64 = topo.bridges.iter().map(|b| b.segments.len() as u64).sum();
+        Plan {
+            boot: if stp {
+                &["bridge_learning", STP_NAME]
+            } else {
+                topo.default_boot()
+            },
+            cfg,
+            guard,
+            epoch,
+            end,
+            // Nothing but spanning-tree hellos may talk in the quiet
+            // window: per designated port one hello every 2 s, so ≤ 3 in
+            // 4 s, plus slack for ages/boundary effects.
+            quiet_allowed: if stp { 3 * total_ports + 8 } else { 8 },
+        }
+    }
+}
+
 /// The shared body of [`run`]/[`run_in`]/[`run_traced`]: build the
 /// topology and workload into the (fresh or freshly-reset) world, drive
 /// the run, judge the invariants.
@@ -649,55 +729,21 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
     let topo = topo::generate(scenario.shape, scenario.seed);
     assert!(topo.is_connected(), "generated topologies are connected");
     let wl = workload::generate(scenario.battery, &topo, scenario.seed);
+    let plan = Plan::new(scenario, &topo, &wl);
 
     // Topology-derived pre-sizing: the world's node/segment tables and
     // every bridge's learning table are sized for the full population up
     // front, so per-frame work at metro scale never grows a table.
-    let n_hosts = wl.host_count() as usize;
-    world.reserve_topology(topo.bridges.len() + n_hosts, topo.segments.len());
-    let hostile = wl.injects_attacks();
-    let mut cfg = BridgeConfig {
-        expected_stations: n_hosts + topo.bridges.len(),
-        ..BridgeConfig::default()
-    };
-    if scenario.defended {
-        cfg.learn_cap = DEFENSE_LEARN_CAP;
-        cfg.learn_port_quota = DEFENSE_PORT_QUOTA;
-        cfg.storm_broadcast = Some(DEFENSE_STORM);
-        cfg.storm_unknown = Some(DEFENSE_STORM);
-    }
-    // Adversarial batteries always boot the spanning tree (BPDU guard and
-    // rogue-root detection need it), even on acyclic shapes.
-    let boot: &[&str] = if hostile {
-        &["bridge_learning", STP_NAME]
-    } else {
-        topo.default_boot()
-    };
-    let built = topo::instantiate(world, &topo, &cfg, boot);
-
-    // A defended bridge err-disables host-facing edge ports (segments
-    // that touch exactly one bridge) on any received BPDU: no end system
-    // has a legitimate reason to speak spanning tree.
-    if scenario.defended {
-        for (bi, spec) in topo.bridges.iter().enumerate() {
-            let guard: Vec<usize> = spec
-                .segments
-                .iter()
-                .enumerate()
-                .filter(|(_, seg)| {
-                    topo.bridges
-                        .iter()
-                        .filter(|b| b.segments.contains(seg))
-                        .count()
-                        == 1
-                })
-                .map(|(port, _)| port)
-                .collect();
-            if !guard.is_empty() {
-                world
-                    .node_mut::<BridgeNode>(built.bridges[bi])
-                    .set_bpdu_guard(guard);
-            }
+    world.reserve_topology(
+        topo.bridges.len() + wl.host_count() as usize,
+        topo.segments.len(),
+    );
+    let built = topo::instantiate(world, &topo, &plan.cfg, plan.boot);
+    for (&b, ports) in built.bridges.iter().zip(&plan.guard) {
+        if !ports.is_empty() {
+            world
+                .node_mut::<BridgeNode>(b)
+                .set_bpdu_guard(ports.clone());
         }
     }
 
@@ -711,225 +757,166 @@ fn run_prepared(world: &mut World, scenario: &Scenario) -> Report {
         }
     }
 
-    // Loopy topologies need the spanning tree fully forwarding (two
-    // forward-delay intervals plus margin) before traffic starts; hostile
-    // batteries boot STP everywhere, so they wait for it everywhere.
-    let epoch = if topo.cyclic() || hostile {
-        SimTime::from_secs(40)
-    } else {
-        SimTime::from_ms(200)
-    };
-    let epoch_d = SimDuration::from_ns(epoch.as_ns());
-
-    let placed = materialize(world, &built, &topo, &wl, epoch_d);
-
+    let placed = materialize(world, &built, &topo, &wl, plan.epoch);
     // Chaos steps go onto the world event queue up-front (not the slice
     // grid): their order relative to traffic is fixed by `(time, seq)`
     // alone, so a chaotic run replays byte-for-byte at any worker
     // count. A transparent script schedules nothing.
-    wl.chaos.schedule(world, epoch, &built.segs, &built.bridges);
-    let heal_at = wl.chaos.last_heal_at().map(|d| epoch + d);
-
-    let end = SimTime::ZERO
-        + scenario
-            .duration
-            .unwrap_or(epoch_d + wl.span() + SimDuration::from_secs(2));
-
-    // Drive in slices: apply due fault-script steps, watch convergence.
-    let mut faults: Vec<(SimTime, &FaultAction)> =
-        wl.faults.iter().map(|(at, f)| (epoch + *at, f)).collect();
-    faults.sort_by_key(|(at, _)| *at);
-    let mut next_fault = 0;
-    let mut signature = convergence_signature(world, &built);
-    let mut converged_at: Option<SimTime> = None;
-    let mut delivered_at_heal: Option<u64> = None;
-    let mut first_delivery_after_heal: Option<SimTime> = None;
-    // Security telemetry, sampled on the slice grid during hostile runs:
-    // the high-water mark of any learning table, and whether any bridge
-    // ever published a spanning-tree root that is not a real bridge.
-    let real_macs: Vec<ether::MacAddr> = topo
-        .bridges
-        .iter()
-        .map(|b| active_bridge::scenario_impl::bridge_mac(b.index))
-        .collect();
-    let mut sec_max_occ = 0u64;
-    let mut rogue_root_seen = false;
-    let mut now = SimTime::ZERO;
-    while now < end {
-        now = (now + SLICE).min(end);
-        while next_fault < faults.len() && faults[next_fault].0 <= now {
-            let (_, action) = faults[next_fault];
-            match action {
-                FaultAction::Set { seg, fault } => {
-                    world.set_segment_fault(built.segs[*seg], fault.clone())
-                }
-                FaultAction::Clear { seg } => {
-                    world.set_segment_fault(built.segs[*seg], netsim::FaultConfig::default())
-                }
-            }
-            next_fault += 1;
-        }
-        world.run_until(now);
-        if hostile {
-            for &b in &built.bridges {
-                let plane = world.node::<BridgeNode>(b).plane();
-                sec_max_occ = sec_max_occ.max(plane.learn.len() as u64);
-                if let Some(snap) = plane.published.get(STP_NAME) {
-                    rogue_root_seen |= !real_macs.contains(&snap.root_mac);
-                }
-            }
-        }
-        let sig = convergence_signature(world, &built);
-        if sig != signature {
-            signature = sig;
-            converged_at = Some(now);
-        }
-        // Time-to-first-delivery after the script's last heal, sampled
-        // on the slice grid: the baseline is the delivery count at the
-        // first boundary past the heal, and recovery is the first later
-        // boundary where it has grown.
-        if let Some(heal) = heal_at {
-            if now >= heal && first_delivery_after_heal.is_none() {
-                match delivered_at_heal {
-                    None => delivered_at_heal = Some(world.frames_delivered()),
-                    Some(base) if world.frames_delivered() > base => {
-                        first_delivery_after_heal = Some(now);
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-    }
+    wl.chaos
+        .schedule(world, plan.epoch, &built.segs, &built.bridges);
+    let samples = drive(world, &built, &topo, &wl, &plan);
 
     // Quiet tail: nothing should be talking except spanning-tree hellos.
     let before = world.stats();
-    world.run_until(end + QUIET_WINDOW);
+    world.run_until(plan.end + QUIET_WINDOW);
     let after = world.stats();
-    let quiet_tx = after.total_tx_frames() - before.total_tx_frames();
-    let total_ports: u64 = topo.bridges.iter().map(|b| b.segments.len() as u64).sum();
-    let quiet_allowed = if topo.cyclic() || hostile {
-        // Per designated port: one hello every 2 s, so ≤ 3 in 4 s, plus
-        // slack for ages/boundary effects.
-        3 * total_ports + 8
-    } else {
-        8
-    };
-
-    let (apps, upload_count) = judge_apps(world, &placed, &topo);
-    let bridges = bridge_reports(world, &built, hostile);
-    let vm_fuel = built
-        .bridges
-        .iter()
-        .map(|&b| world.node::<BridgeNode>(b).plane().stats.vm_instructions)
-        .sum();
-    let recovery = heal_at.map(|heal| RecoveryReport {
-        last_heal: heal,
-        down_drops: after.segments.iter().map(|s| s.counters.down_drops).sum(),
-        crashes: wl.chaos.crash_count(),
-        time_to_first_delivery: first_delivery_after_heal.map(|t| t.saturating_since(heal)),
-    });
-    let resilience = wl
-        .injects_bursts()
-        .then(|| resilience_report(world, &placed, &after, &bridges));
-    let security = hostile.then(|| {
-        let mut s = SecurityReport {
-            defended: scenario.defended,
-            max_learn_occupancy: sec_max_occ,
-            learn_evictions: 0,
-            learn_rejects: 0,
-            storm_suppressions: 0,
-            storm_releases: world.counters().get("bridge.storm_releases"),
-            bpdu_guard_trips: 0,
-            rogue_root_seen,
-        };
-        for &b in &built.bridges {
-            let stats = &world.node::<BridgeNode>(b).plane().stats;
-            s.learn_evictions += stats.learn_evictions;
-            s.learn_rejects += stats.learn_rejects;
-            s.storm_suppressions += stats.storm_suppressions;
-            s.bpdu_guard_trips += stats.bpdu_guard_trips;
-        }
-        s
-    });
-    let invariants = judge_invariants(
-        world,
-        &topo,
-        &wl,
-        &apps,
-        upload_count,
-        converged_at,
-        epoch,
-        quiet_tx,
-        quiet_allowed,
-        &bridges,
-        scenario.defended,
-        security.as_ref(),
-    );
-
-    Report {
+    let mut report = Report {
         scenario: scenario.clone(),
         cyclic: topo.cyclic(),
         n_segments: topo.segments.len(),
         n_bridges: topo.bridges.len(),
-        epoch,
-        end,
-        converged_at,
+        epoch: plan.epoch,
+        end: plan.end,
+        converged_at: samples.converged_at,
+        quiet_tx: after.total_tx_frames() - before.total_tx_frames(),
         world: after,
-        quiet_tx,
-        quiet_allowed,
-        bridges,
-        apps,
-        vm_fuel,
-        recovery,
-        resilience,
-        security,
-        invariants,
-    }
+        quiet_allowed: plan.quiet_allowed,
+        bridges: bridge_reports(world, &built, wl.injects_attacks()),
+        apps: judge_apps(world, &wl, &placed, &topo),
+        vm_fuel: built
+            .bridges
+            .iter()
+            .map(|&b| world.node::<BridgeNode>(b).plane().stats.vm_instructions)
+            .sum(),
+        recovery: None,
+        resilience: None,
+        security: None,
+        invariants: Vec::new(),
+    };
+    let run = Observed {
+        world,
+        topo: &topo,
+        placed: &placed,
+        samples: &samples,
+    };
+    judge_invariants(&mut report, &wl, &run);
+    report
 }
 
-/// Aggregate the hostile-media telemetry: every upload's transport
-/// counters, the bridges' integrity-gate rejects, and the burst model's
-/// drop total.
-fn resilience_report(
-    world: &World,
-    placed: &[Placed],
-    after: &WorldStats,
-    bridges: &[BridgeReport],
-) -> ResilienceReport {
-    let mut retries = 0u64;
-    let mut restarts = 0u64;
-    let mut rto_ceiling_hits = 0u64;
-    let mut max_stall_ns = 0u64;
-    for p in placed {
-        let is_upload = matches!(
-            p.action,
-            AppAction::Upload { .. }
-                | AppAction::UploadTrap { .. }
-                | AppAction::UploadSealed { .. }
-                | AppAction::UploadCorrupt { .. }
-        );
-        if !is_upload {
-            continue;
+/// What the slice loop samples on its grid.
+#[derive(Default)]
+struct Samples {
+    /// The last slice boundary at which any bridge's port flags or
+    /// elected root had changed.
+    converged_at: Option<SimTime>,
+    /// The first slice boundary after the script's last heal at which
+    /// new frames had been delivered.
+    first_delivery_after_heal: Option<SimTime>,
+    /// The largest learning-table occupancy any bridge showed (hostile
+    /// runs only).
+    max_learn_occupancy: u64,
+    /// Did any bridge publish a spanning-tree root that is not a real
+    /// bridge of this topology (hostile runs only)?
+    rogue_root_seen: bool,
+}
+
+/// Drive the world to `plan.end` in [`SLICE`]s: apply the fault-script
+/// steps due in each slice, run it, then sample convergence, delivery
+/// after the last heal and — on hostile runs — security telemetry.
+fn drive(
+    world: &mut World,
+    built: &topo::BuiltTopology,
+    topo: &Topology,
+    wl: &Workload,
+    plan: &Plan,
+) -> Samples {
+    let mut faults: Vec<(SimTime, &FaultAction)> = wl
+        .faults
+        .iter()
+        .map(|(at, f)| (plan.epoch + *at, f))
+        .collect();
+    faults.sort_by_key(|(at, _)| *at);
+    let mut faults = faults.into_iter().peekable();
+    let heal_at = wl.chaos.last_heal_at().map(|d| plan.epoch + d);
+    let mut delivered_at_heal: Option<u64> = None;
+    let real_macs: Option<Vec<ether::MacAddr>> = wl.injects_attacks().then(|| {
+        topo.bridges
+            .iter()
+            .map(|b| active_bridge::scenario_impl::bridge_mac(b.index))
+            .collect()
+    });
+    let mut signature = Signature::new(world, built);
+    let mut samples = Samples::default();
+    let mut now = SimTime::ZERO;
+    while now < plan.end {
+        now = (now + SLICE).min(plan.end);
+        while let Some((_, action)) = faults.next_if(|(at, _)| *at <= now) {
+            let (seg, fault) = match action {
+                FaultAction::Set { seg, fault } => (seg, fault.clone()),
+                FaultAction::Clear { seg } => (seg, netsim::FaultConfig::default()),
+            };
+            world.set_segment_fault(built.segs[*seg], fault);
         }
-        if let App::Upload(a) = world.node::<HostNode>(p.sender).app(0).unwrapped() {
-            retries += a.retries as u64;
-            restarts += a.restarts as u64;
-            rto_ceiling_hits += a.rto_ceiling_hits as u64;
-            max_stall_ns = max_stall_ns.max(a.progress_gap_ns.iter().copied().max().unwrap_or(0));
+        world.run_until(now);
+        if let Some(real_macs) = &real_macs {
+            for &b in &built.bridges {
+                let plane = world.node::<BridgeNode>(b).plane();
+                samples.max_learn_occupancy =
+                    samples.max_learn_occupancy.max(plane.learn.len() as u64);
+                if let Some(snap) = plane.published.get(STP_NAME) {
+                    samples.rogue_root_seen |= !real_macs.contains(&snap.root_mac);
+                }
+            }
+        }
+        if signature.refresh(world, built) {
+            samples.converged_at = Some(now);
+        }
+        // Time-to-first-delivery after the script's last heal: the
+        // baseline is the delivery count at the first boundary past the
+        // heal, and recovery is the first later boundary where it has
+        // grown.
+        if heal_at.is_some_and(|heal| now >= heal) && samples.first_delivery_after_heal.is_none() {
+            match delivered_at_heal {
+                None => delivered_at_heal = Some(world.frames_delivered()),
+                Some(base) if world.frames_delivered() > base => {
+                    samples.first_delivery_after_heal = Some(now);
+                }
+                Some(_) => {}
+            }
         }
     }
-    ResilienceReport {
-        retries,
-        restarts,
-        rto_ceiling_hits,
-        integrity_rejects: bridges
-            .iter()
-            .flat_map(|b| &b.counters)
-            .filter(|&&(k, _)| k == "images_rejected")
-            .map(|&(_, v)| v)
-            .sum(),
-        burst_drops: after.segments.iter().map(|s| s.counters.burst_drops).sum(),
-        max_stall: (max_stall_ns > 0).then(|| SimDuration::from_ns(max_stall_ns)),
+    samples
+}
+
+/// Port forwarding flags plus elected root per bridge: when this stops
+/// changing, the control plane has converged.
+struct Signature(Vec<(Vec<bool>, Option<ether::MacAddr>)>);
+
+impl Signature {
+    fn new(world: &World, built: &topo::BuiltTopology) -> Signature {
+        let mut sig = Signature(vec![(Vec::new(), None); built.bridges.len()]);
+        sig.refresh(world, built);
+        sig
+    }
+
+    /// Bring the signature up to date in place; `true` if it changed.
+    fn refresh(&mut self, world: &World, built: &topo::BuiltTopology) -> bool {
+        let mut changed = false;
+        for ((forward, root), &b) in self.0.iter_mut().zip(&built.bridges) {
+            let plane = world.node::<BridgeNode>(b).plane();
+            let flags = plane.flags().iter().map(|f| f.forward);
+            if !forward.iter().copied().eq(flags.clone()) {
+                forward.clear();
+                forward.extend(flags);
+                changed = true;
+            }
+            let elected = plane.published.get(STP_NAME).map(|s| s.root_mac);
+            if *root != elected {
+                *root = elected;
+                changed = true;
+            }
+        }
+        changed
     }
 }
 
@@ -940,9 +927,10 @@ fn materialize(
     built: &topo::BuiltTopology,
     topo: &Topology,
     wl: &Workload,
-    epoch: SimDuration,
+    epoch: SimTime,
 ) -> Vec<Placed> {
     use active_bridge::scenario_impl::{bridge_ip, host_ip, host_mac};
+    let epoch = SimDuration::from_ns(epoch.as_ns());
     let mut next_host: u32 = 1;
     let mut host = |world: &mut World, seg: usize, apps: Vec<App>| -> (NodeId, u32) {
         let n = next_host;
@@ -960,9 +948,9 @@ fn materialize(
         .iter()
         .enumerate()
         .map(|(i, item)| {
-            let start = epoch + item.offset;
-            let mut crowd = Vec::new();
-            let (sender, receiver) = match &item.action {
+            // Two-host actions create the receiver first: the sender's
+            // app needs its address.
+            let (receiver, from_seg, app) = match &item.action {
                 AppAction::Ping {
                     from_seg,
                     to_seg,
@@ -971,22 +959,15 @@ fn materialize(
                     interval,
                 } => {
                     let (rx, rx_n) = host(world, *to_seg, vec![]);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            PingApp::new(
-                                PortId(0),
-                                host_ip(rx_n),
-                                *count,
-                                *payload,
-                                *interval,
-                                0x5000 + i as u16,
-                            ),
-                        )],
+                    let ping = PingApp::new(
+                        PortId(0),
+                        host_ip(rx_n),
+                        *count,
+                        *payload,
+                        *interval,
+                        0x5000 + i as u16,
                     );
-                    (tx, Some(rx))
+                    (Some(rx), *from_seg, ping)
                 }
                 AppAction::Ttcp {
                     from_seg,
@@ -995,28 +976,18 @@ fn materialize(
                     write_size,
                 } => {
                     let port = 5001 + i as u16;
-                    let (rx, rx_n) = host(
-                        world,
-                        *to_seg,
-                        vec![TtcpRecvApp::new(port, ReceiverConfig::default())],
+                    let recv = TtcpRecvApp::new(port, ReceiverConfig::default());
+                    let (rx, rx_n) = host(world, *to_seg, vec![recv]);
+                    let send = TtcpSendApp::new(
+                        PortId(0),
+                        host_ip(rx_n),
+                        port,
+                        port,
+                        *total_bytes,
+                        *write_size,
+                        SenderConfig::default(),
                     );
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            TtcpSendApp::new(
-                                PortId(0),
-                                host_ip(rx_n),
-                                port,
-                                port,
-                                *total_bytes,
-                                *write_size,
-                                SenderConfig::default(),
-                            ),
-                        )],
-                    );
-                    (tx, Some(rx))
+                    (Some(rx), *from_seg, send)
                 }
                 AppAction::Blast {
                     from_seg,
@@ -1026,197 +997,70 @@ fn materialize(
                     interval,
                 } => {
                     let (rx, rx_n) = host(world, *to_seg, vec![]);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            BlastApp::new(PortId(0), host_mac(rx_n), *size, *count, *interval),
-                        )],
-                    );
-                    (tx, Some(rx))
+                    let blast = BlastApp::new(PortId(0), host_mac(rx_n), *size, *count, *interval);
+                    (Some(rx), *from_seg, blast)
                 }
-                AppAction::Upload { from_seg, bridge } => {
-                    let image = workload::inert_upload_image(i as u32);
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::new(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("scn_upload{i}.img"),
-                                image,
-                            ),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::UploadTrap { from_seg, bridge } => {
-                    let image = active_bridge::switchlets::trap_vm::build_image();
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::new(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("vm_trap{i}.img"),
-                                image,
-                            ),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::UploadSealed {
+                AppAction::Upload {
                     from_seg,
                     bridge,
-                    pad,
+                    kind,
                 } => {
-                    let image = workload::sealed_upload_image(i as u32, *pad);
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::with_config(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("scn_upload{i}.swl"),
-                                image,
-                                UploadConfig::resilient(),
-                            ),
-                        )],
+                    let upload = UploadApp::with_config(
+                        PortId(0),
+                        bridge_ip(topo.bridges[*bridge].index),
+                        3000 + i as u16,
+                        kind.file_name(i),
+                        kind.image(i as u32),
+                        kind.config(),
                     );
-                    (tx, None)
+                    (None, *from_seg, upload)
                 }
-                AppAction::UploadCorrupt { from_seg, bridge } => {
-                    let image = workload::corrupt_upload_image(i as u32);
-                    let dst = bridge_ip(topo.bridges[*bridge].index);
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            UploadApp::with_config(
-                                PortId(0),
-                                dst,
-                                3000 + i as u16,
-                                format!("scn_corrupt{i}.swl"),
-                                image,
-                                // The poisoned image can never succeed:
-                                // keep its budget small so it parks as a
-                                // classified IntegrityReject well before
-                                // the evaluation window.
-                                UploadConfig {
-                                    max_retries: 6,
-                                    ..UploadConfig::resilient()
-                                },
-                            ),
-                        )],
-                    );
-                    (tx, None)
-                }
+                AppAction::Attack {
+                    from_seg,
+                    count,
+                    interval,
+                    kind,
+                } => (None, *from_seg, kind.app(*count, *interval)),
                 AppAction::Crowd { seg, hosts } => {
                     assert!(*hosts > 0, "a crowd needs at least one host");
-                    crowd = (0..*hosts).map(|_| host(world, *seg, vec![]).0).collect();
-                    (crowd[0], None)
-                }
-                AppAction::MacFlood {
-                    from_seg,
-                    count,
-                    interval,
-                    seed,
-                } => {
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            MacFloodApp::new(PortId(0), *count, *interval, *seed),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::ArpStorm {
-                    from_seg,
-                    count,
-                    interval,
-                    seed,
-                } => {
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            ArpStormApp::new(PortId(0), *count, *interval, *seed),
-                        )],
-                    );
-                    (tx, None)
-                }
-                AppAction::RogueBpdu {
-                    from_seg,
-                    count,
-                    interval,
-                } => {
-                    let (tx, _) = host(
-                        world,
-                        *from_seg,
-                        vec![App::delayed(
-                            start,
-                            RogueBpduApp::new(PortId(0), *count, *interval),
-                        )],
-                    );
-                    (tx, None)
+                    let crowd: Vec<NodeId> =
+                        (0..*hosts).map(|_| host(world, *seg, vec![]).0).collect();
+                    return Placed {
+                        sender: crowd[0],
+                        receiver: None,
+                        crowd,
+                    };
                 }
             };
+            let start = epoch + item.offset;
+            let (sender, _) = host(world, from_seg, vec![App::delayed(start, app)]);
             Placed {
-                action: item.action.clone(),
-                phase: item.phase,
                 sender,
                 receiver,
-                crowd,
+                crowd: Vec::new(),
             }
         })
         .collect()
 }
 
-/// Port flags plus elected root per bridge: when this stops changing, the
-/// control plane has converged.
-fn convergence_signature(
-    world: &World,
-    built: &topo::BuiltTopology,
-) -> Vec<(Vec<bool>, Option<ether::MacAddr>)> {
-    built
-        .bridges
+/// Inspect every placed app and compute its outcome, in workload order.
+fn judge_apps(world: &World, wl: &Workload, placed: &[Placed], topo: &Topology) -> Vec<AppReport> {
+    wl.items
         .iter()
-        .map(|&b| {
-            let plane = world.node::<BridgeNode>(b).plane();
-            (
-                plane.flags().iter().map(|f| f.forward).collect(),
-                plane.published.get(STP_NAME).map(|s| s.root_mac),
-            )
-        })
-        .collect()
-}
-
-/// Inspect every placed app and compute its outcome. Returns the reports
-/// plus how many uploads the battery scheduled.
-fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppReport>, u64) {
-    let mut uploads = 0;
-    let reports = placed
-        .iter()
-        .map(|p| {
+        .zip(placed)
+        .map(|(item, p)| {
+            let report = |from_seg: usize, to_seg: usize, ok, detail, metrics| AppReport {
+                label: item.action.label(),
+                phase: item.phase,
+                from_seg,
+                to_seg,
+                ok,
+                detail,
+                metrics,
+            };
             // Crowds run no application; judge them on reception alone.
-            if let AppAction::Crowd { seg, hosts } = &p.action {
+            if let AppAction::Crowd { seg, hosts } = &item.action {
+                let hosts = *hosts as u64;
                 let mut heard = 0u64;
                 let mut frames_rx = 0u64;
                 for &h in &p.crowd {
@@ -1224,25 +1068,16 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                     heard += u64::from(rx > 0);
                     frames_rx += rx;
                 }
-                return AppReport {
-                    label: "crowd",
-                    phase: p.phase,
-                    from_seg: *seg,
-                    to_seg: *seg,
-                    ok: heard == *hosts as u64,
-                    detail: vec![
-                        ("hosts", *hosts as u64),
-                        ("heard", heard),
-                        ("frames_rx", frames_rx),
-                    ],
-                    metrics: AppMetrics::delivery(
-                        *hosts > 0,
-                        (*hosts > 0).then(|| heard * 1000 / *hosts as u64),
-                    ),
-                };
+                return report(
+                    *seg,
+                    *seg,
+                    heard == hosts,
+                    vec![("hosts", hosts), ("heard", heard), ("frames_rx", frames_rx)],
+                    AppMetrics::delivery(hosts > 0, (hosts > 0).then(|| heard * 1000 / hosts)),
+                );
             }
             let app = world.node::<HostNode>(p.sender).app(0).unwrapped();
-            match (&p.action, app) {
+            match (&item.action, app) {
                 (
                     AppAction::Ping {
                         from_seg,
@@ -1251,25 +1086,23 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                         ..
                     },
                     App::Ping(a),
-                ) => AppReport {
-                    label: "ping",
-                    phase: p.phase,
-                    from_seg: *from_seg,
-                    to_seg: *to_seg,
-                    ok: a.received == *count,
-                    detail: vec![("sent", a.sent as u64), ("received", a.received as u64)],
+                ) => report(
+                    *from_seg,
+                    *to_seg,
+                    a.received == *count,
+                    vec![("sent", a.sent as u64), ("received", a.received as u64)],
                     // A ping that got no replies has no RTT measurement:
                     // the sketch is empty and `valid` is false, so every
                     // derived statistic renders null (the old report
                     // emitted `avg_rtt_ns: 0` here — indistinguishable
                     // from a perfect round trip).
-                    metrics: AppMetrics {
+                    AppMetrics {
                         kind: "rtt",
                         valid: a.received > 0,
                         delivery_pm: (a.sent > 0).then(|| a.received as u64 * 1000 / a.sent as u64),
                         sketch: Some(Sketch::from_samples(a.rtts.iter().map(|d| d.as_ns()))),
                     },
-                },
+                ),
                 (
                     AppAction::Ttcp {
                         from_seg,
@@ -1298,26 +1131,24 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                     } else {
                         total_bytes * 8 * 1_000_000_000 / elapsed.as_ns()
                     };
-                    AppReport {
-                        label: "ttcp",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: *to_seg,
-                        ok: a.is_done() && received == *total_bytes,
-                        detail: vec![
+                    report(
+                        *from_seg,
+                        *to_seg,
+                        a.is_done() && received == *total_bytes,
+                        vec![
                             ("bytes", received),
                             ("frames", a.frames_sent),
                             ("elapsed_ns", elapsed.as_ns()),
                             ("throughput_bps", throughput_bps),
                         ],
-                        metrics: AppMetrics {
+                        AppMetrics {
                             kind: "jitter",
                             valid: jitter.count() > 0,
                             delivery_pm: (*total_bytes > 0)
                                 .then(|| received.min(*total_bytes) * 1000 / total_bytes),
                             sketch: Some(jitter),
                         },
-                    }
+                    )
                 }
                 (
                     AppAction::Blast {
@@ -1332,126 +1163,68 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                         .receiver
                         .map(|r| world.node::<HostNode>(r).core.exp_frames_rx)
                         .unwrap_or(0);
-                    AppReport {
-                        label: "blast",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: *to_seg,
-                        ok: a.sent == *count && received == *count,
-                        detail: vec![("sent", a.sent), ("received", received)],
-                        metrics: AppMetrics::delivery(
+                    report(
+                        *from_seg,
+                        *to_seg,
+                        a.sent == *count && received == *count,
+                        vec![("sent", a.sent), ("received", received)],
+                        AppMetrics::delivery(
                             *count > 0,
                             (*count > 0).then(|| received.min(*count) * 1000 / count),
                         ),
-                    }
-                }
-                (AppAction::Upload { from_seg, bridge }, App::Upload(a)) => {
-                    uploads += 1;
-                    let done = a.is_done() && a.failed.is_none();
-                    AppReport {
-                        label: "upload",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        // Like every other label, to_seg is a segment
-                        // index; the target bridge goes in the detail.
-                        to_seg: topo.bridges[*bridge].segments[0],
-                        ok: done,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("retries", a.retries as u64),
-                        ],
-                        metrics: AppMetrics {
-                            kind: "timeline",
-                            valid: done,
-                            delivery_pm: Some(if done { 1000 } else { 0 }),
-                            sketch: Some(Sketch::from_samples(a.progress_gap_ns.iter().copied())),
-                        },
-                    }
-                }
-                (AppAction::UploadTrap { from_seg, bridge }, App::Upload(a)) => {
-                    // The transfer itself must succeed — proving the
-                    // loader path survived the chaos — but the module
-                    // is *designed* to be quarantined afterwards, so it
-                    // does not count toward `uploads_alive`.
-                    let done = a.is_done() && a.failed.is_none();
-                    AppReport {
-                        label: "upload_trap",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: topo.bridges[*bridge].segments[0],
-                        ok: done,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("retries", a.retries as u64),
-                        ],
-                        metrics: AppMetrics {
-                            kind: "timeline",
-                            valid: done,
-                            delivery_pm: Some(if done { 1000 } else { 0 }),
-                            sketch: Some(Sketch::from_samples(a.progress_gap_ns.iter().copied())),
-                        },
-                    }
+                    )
                 }
                 (
-                    AppAction::UploadSealed {
-                        from_seg, bridge, ..
+                    AppAction::Upload {
+                        from_seg,
+                        bridge,
+                        kind,
                     },
                     App::Upload(a),
                 ) => {
-                    // A sealed upload must survive the hostile medium:
-                    // it counts toward `uploads_alive` exactly like a
-                    // plain one, and its transport counters feed the
-                    // resilience invariants.
-                    uploads += 1;
                     let done = a.is_done() && a.failed.is_none();
-                    AppReport {
-                        label: "upload_sealed",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: topo.bridges[*bridge].segments[0],
-                        ok: done,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("parked", u64::from(a.failed.is_some())),
+                    let parked = u64::from(a.failed.is_some());
+                    let classified = a.failure == Some(FailureClass::IntegrityReject);
+                    let mut detail =
+                        vec![("bridge", *bridge as u64), ("done", u64::from(a.is_done()))];
+                    match kind {
+                        UploadKind::Inert | UploadKind::Trap => {
+                            detail.push(("retries", a.retries as u64))
+                        }
+                        UploadKind::Sealed { .. } => detail.extend([
+                            ("parked", parked),
                             ("retries", a.retries as u64),
                             ("restarts", a.restarts as u64),
                             ("rto_ceiling_hits", a.rto_ceiling_hits as u64),
                             ("budget_used", a.budget_used() as u64),
                             ("budget", a.cfg.max_retries as u64),
-                        ],
-                        metrics: AppMetrics {
+                        ]),
+                        UploadKind::Corrupt => detail.extend([
+                            ("parked", parked),
+                            ("classified_integrity", u64::from(classified)),
+                            ("retries", a.retries as u64),
+                            ("restarts", a.restarts as u64),
+                        ]),
+                    }
+                    // Like every other label, to_seg is a segment index;
+                    // the target bridge goes in the detail.
+                    let to_seg = topo.bridges[*bridge].segments[0];
+                    if *kind == UploadKind::Corrupt {
+                        // The poisoned image must *never* complete: success
+                        // here is the gate refusing every re-send and the
+                        // sender parking with a classified integrity
+                        // reject.
+                        let ok = !a.is_done() && classified;
+                        let metrics = AppMetrics::delivery(true, Some(if ok { 1000 } else { 0 }));
+                        report(*from_seg, to_seg, ok, detail, metrics)
+                    } else {
+                        let metrics = AppMetrics {
                             kind: "timeline",
                             valid: done,
                             delivery_pm: Some(if done { 1000 } else { 0 }),
                             sketch: Some(Sketch::from_samples(a.progress_gap_ns.iter().copied())),
-                        },
-                    }
-                }
-                (AppAction::UploadCorrupt { from_seg, bridge }, App::Upload(a)) => {
-                    // The poisoned image must *never* complete: success
-                    // here is the gate refusing every re-send and the
-                    // sender parking with a classified integrity reject
-                    // — so it does not count toward `uploads_alive`.
-                    let classified = a.failure == Some(FailureClass::IntegrityReject);
-                    let ok = !a.is_done() && classified;
-                    AppReport {
-                        label: "upload_corrupt",
-                        phase: p.phase,
-                        from_seg: *from_seg,
-                        to_seg: topo.bridges[*bridge].segments[0],
-                        ok,
-                        detail: vec![
-                            ("bridge", *bridge as u64),
-                            ("done", u64::from(a.is_done())),
-                            ("parked", u64::from(a.failed.is_some())),
-                            ("classified_integrity", u64::from(classified)),
-                            ("retries", a.retries as u64),
-                            ("restarts", a.restarts as u64),
-                        ],
-                        metrics: AppMetrics::delivery(true, Some(if ok { 1000 } else { 0 })),
+                        };
+                        report(*from_seg, to_seg, done, detail, metrics)
                     }
                 }
                 // Attack apps carry no receiver: they are judged only on
@@ -1460,64 +1233,29 @@ fn judge_apps(world: &World, placed: &[Placed], topo: &Topology) -> (Vec<AppRepo
                 // Only a `sent` detail key, deliberately no `received`,
                 // so `no_duplicate_delivery` skips them.
                 (
-                    AppAction::MacFlood {
+                    AppAction::Attack {
                         from_seg, count, ..
                     },
-                    App::MacFlood(a),
-                ) => AppReport {
-                    label: "mac_flood",
-                    phase: p.phase,
-                    from_seg: *from_seg,
-                    to_seg: *from_seg,
-                    ok: a.sent == *count,
-                    detail: vec![("sent", a.sent)],
-                    metrics: AppMetrics::delivery(
+                    App::MacFlood(hostsim::MacFloodApp { sent, .. })
+                    | App::ArpStorm(hostsim::ArpStormApp { sent, .. })
+                    | App::RogueBpdu(hostsim::RogueBpduApp { sent, .. }),
+                ) => report(
+                    *from_seg,
+                    *from_seg,
+                    *sent == *count,
+                    vec![("sent", *sent)],
+                    AppMetrics::delivery(
                         *count > 0,
-                        (*count > 0).then(|| a.sent.min(*count) * 1000 / count),
+                        (*count > 0).then(|| (*sent).min(*count) * 1000 / count),
                     ),
-                },
-                (
-                    AppAction::ArpStorm {
-                        from_seg, count, ..
-                    },
-                    App::ArpStorm(a),
-                ) => AppReport {
-                    label: "arp_storm",
-                    phase: p.phase,
-                    from_seg: *from_seg,
-                    to_seg: *from_seg,
-                    ok: a.sent == *count,
-                    detail: vec![("sent", a.sent)],
-                    metrics: AppMetrics::delivery(
-                        *count > 0,
-                        (*count > 0).then(|| a.sent.min(*count) * 1000 / count),
-                    ),
-                },
-                (
-                    AppAction::RogueBpdu {
-                        from_seg, count, ..
-                    },
-                    App::RogueBpdu(a),
-                ) => AppReport {
-                    label: "rogue_bpdu",
-                    phase: p.phase,
-                    from_seg: *from_seg,
-                    to_seg: *from_seg,
-                    ok: a.sent == *count,
-                    detail: vec![("sent", a.sent)],
-                    metrics: AppMetrics::delivery(
-                        *count > 0,
-                        (*count > 0).then(|| a.sent.min(*count) * 1000 / count),
-                    ),
-                },
+                ),
                 (action, _) => unreachable!(
                     "placed app for {} does not match its action",
                     action.label()
                 ),
             }
         })
-        .collect();
-    (reports, uploads)
+        .collect()
 }
 
 /// Per-bridge counters. The security keys only render on hostile runs so
@@ -1550,489 +1288,523 @@ fn bridge_reports(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn judge_invariants(
-    world: &World,
-    topo: &Topology,
-    wl: &Workload,
-    apps: &[AppReport],
-    uploads: u64,
-    converged_at: Option<SimTime>,
-    epoch: SimTime,
-    quiet_tx: u64,
-    quiet_allowed: u64,
-    bridges: &[BridgeReport],
-    defended: bool,
-    security: Option<&SecurityReport>,
-) -> Vec<InvariantResult> {
-    let hostile = wl.injects_attacks();
-    // The control arm runs the attacks with every defense off: it exists
-    // to prove the attacks bite, so the usual health invariants are
-    // waived there and `attack_degrades_undefended` judges it instead.
-    let control_arm = hostile && !defended;
-    let mut out = Vec::new();
+/// What a finished run leaves the judges besides its report: the world,
+/// the topology, where each workload item's hosts went, and the slice
+/// samples.
+struct Observed<'a> {
+    world: &'a World,
+    topo: &'a Topology,
+    placed: &'a [Placed],
+    samples: &'a Samples,
+}
 
-    out.push(InvariantResult {
-        name: "connected",
-        verdict: if topo.is_connected() {
-            Verdict::Pass
-        } else {
-            Verdict::Fail
-        },
-        detail: format!(
+/// Judge every plane the workload exercises, in report order — base,
+/// recovery, resilience, watchdog, security — and attach each plane's
+/// report section.
+fn judge_invariants(report: &mut Report, wl: &Workload, run: &Observed) {
+    let mut invariants = base_plane(report, wl, run);
+    let (recovery, judged) = recovery_plane(report, wl, run);
+    invariants.extend(judged);
+    let (resilience, judged) = resilience_plane(report, wl, run);
+    invariants.extend(judged);
+    invariants.extend(watchdog_plane(wl, run));
+    let (security, judged) = security_plane(report, wl, run);
+    invariants.extend(judged);
+    report.recovery = recovery;
+    report.resilience = resilience;
+    report.security = security;
+    report.invariants = invariants;
+}
+
+/// One judged invariant: `Pass` when it `held`, otherwise `Waived` when
+/// the run `excused` it, otherwise `Fail`.
+fn judge(name: &'static str, held: bool, excused: bool, detail: String) -> InvariantResult {
+    let verdict = if held {
+        Verdict::Pass
+    } else if excused {
+        Verdict::Waived
+    } else {
+        Verdict::Fail
+    };
+    InvariantResult {
+        name,
+        verdict,
+        detail,
+    }
+}
+
+/// `label from→to`, how invariant details name a flow.
+fn flow(a: &AppReport) -> String {
+    format!("{} {}→{}", a.label, a.from_seg, a.to_seg)
+}
+
+/// An app's detail counter `key`, if it reports one.
+fn detail(a: &AppReport, key: &str) -> Option<u64> {
+    a.detail.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+}
+
+/// The sum of bridge counter `key` across every bridge.
+fn bridge_total(bridges: &[BridgeReport], key: &str) -> u64 {
+    bridges
+        .iter()
+        .flat_map(|b| &b.counters)
+        .filter(|&&(k, _)| k == key)
+        .map(|&(_, v)| v)
+        .sum()
+}
+
+/// The control arm runs the attacks with every defense off: it exists to
+/// prove the attacks bite, so the usual health invariants are waived
+/// there and `attack_degrades_undefended` judges it instead.
+fn control_arm(report: &Report, wl: &Workload) -> bool {
+    wl.injects_attacks() && !report.scenario.defended
+}
+
+/// The base plane, judged on every run: `connected`,
+/// `converged_before_workload`, `no_storm`, `no_loss_after_convergence`,
+/// `no_duplicate_delivery`, `single_root` (loopy topologies) and
+/// `uploads_alive` (when uploads must run their `init`).
+fn base_plane(r: &Report, wl: &Workload, run: &Observed) -> Vec<InvariantResult> {
+    let control_arm = control_arm(r, wl);
+    let downtime = wl.injects_downtime();
+    let mut out = vec![judge(
+        "connected",
+        run.topo.is_connected(),
+        false,
+        format!(
             "{} segments reachable through {} bridges",
-            topo.segments.len(),
-            topo.bridges.len()
+            r.n_segments, r.n_bridges
         ),
-    });
+    )];
 
     // Convergence: the control plane must settle before the workload
     // epoch and stay settled to the end. Scripted downtime legitimately
     // moves port states mid-run, so it waives this — the
-    // `reconverges_after_heal` invariant below takes over. So do hostile
+    // `reconverges_after_heal` invariant takes over. So do hostile
     // batteries: a rogue BPDU (or the guard err-disabling its port)
     // changes the control-plane signature by design after the epoch.
-    let downtime = wl.injects_downtime();
-    let settled = converged_at.is_none_or(|t| t <= epoch);
-    out.push(InvariantResult {
-        name: "converged_before_workload",
-        verdict: if settled {
-            Verdict::Pass
-        } else if downtime || hostile {
-            Verdict::Waived
-        } else {
-            Verdict::Fail
-        },
-        detail: match converged_at {
+    out.push(judge(
+        "converged_before_workload",
+        r.converged_at.is_none_or(|t| t <= r.epoch),
+        downtime || wl.injects_attacks(),
+        match r.converged_at {
             Some(t) => format!(
                 "last control-plane change at {} ns (epoch {} ns)",
                 t.as_ns(),
-                epoch.as_ns()
+                r.epoch.as_ns()
             ),
             None => "control plane never changed".to_owned(),
         },
-    });
+    ));
 
-    out.push(InvariantResult {
-        name: "no_storm",
-        verdict: if quiet_tx <= quiet_allowed {
-            Verdict::Pass
-        } else if control_arm {
-            // An undefended rogue root ages out (max-age) inside the
-            // quiet window and the real tree re-elects itself there.
-            Verdict::Waived
-        } else {
-            Verdict::Fail
-        },
-        detail: format!("{quiet_tx} frames in the quiet window (allowed {quiet_allowed})"),
-    });
+    // An undefended rogue root ages out (max-age) inside the quiet window
+    // and the real tree re-elects itself there.
+    out.push(judge(
+        "no_storm",
+        r.quiet_tx <= r.quiet_allowed,
+        control_arm,
+        format!(
+            "{} frames in the quiet window (allowed {})",
+            r.quiet_tx, r.quiet_allowed
+        ),
+    ));
 
     // Loss: blasts are raw and unacknowledged, so a scripted drop fault
     // or scripted downtime waives them — as are loaded-phase probes,
     // which run *inside* the scripted fault window precisely to measure
     // how much is lost (their losses feed the degradation score, not
-    // the invariant). Everything else carries its own recovery and
+    // the invariant). Attacks running without defenses are *expected* to
+    // hurt the victims. Everything else carries its own recovery and
     // stays strict.
     let drops_scripted = wl.injects_drops() || downtime;
     let mut lost = Vec::new();
     let mut waived_loss = 0u64;
-    for a in apps {
-        if !a.ok {
-            if drops_scripted && (a.label == "blast" || a.phase == Phase::Loaded) {
-                waived_loss += 1;
-            } else if control_arm {
-                // Attacks running without defenses are *expected* to hurt
-                // the victims; `attack_degrades_undefended` judges that.
-                waived_loss += 1;
-            } else {
-                lost.push(format!("{} {}→{}", a.label, a.from_seg, a.to_seg));
-            }
+    for (item, a) in wl.items.iter().zip(&r.apps) {
+        if a.ok {
+            continue;
+        }
+        let blast = matches!(item.action, AppAction::Blast { .. });
+        if control_arm || drops_scripted && (blast || a.phase == Phase::Loaded) {
+            waived_loss += 1;
+        } else {
+            lost.push(flow(a));
         }
     }
-    out.push(InvariantResult {
-        name: "no_loss_after_convergence",
-        verdict: if !lost.is_empty() {
-            Verdict::Fail
-        } else if waived_loss > 0 {
-            Verdict::Waived
-        } else {
-            Verdict::Pass
-        },
-        detail: if lost.is_empty() {
+    out.push(judge(
+        "no_loss_after_convergence",
+        lost.is_empty() && waived_loss == 0,
+        lost.is_empty(),
+        if lost.is_empty() {
             format!(
-                "{} workload items delivered ({} waived under scripted faults)",
-                apps.len() as u64 - waived_loss,
-                waived_loss
+                "{} workload items delivered ({waived_loss} waived under scripted faults)",
+                r.apps.len() as u64 - waived_loss
             )
         } else {
             format!("undelivered: {}", lost.join(", "))
         },
-    });
+    ));
 
     // Duplicates: a receiver seeing more than was sent means a forwarding
-    // loop (or a scripted duplicate fault, which waives it).
-    let mut duplicated = Vec::new();
-    for a in apps {
-        let sent = a.detail.iter().find(|(k, _)| *k == "sent").map(|&(_, v)| v);
-        let received = a
-            .detail
-            .iter()
-            .find(|(k, _)| *k == "received")
-            .map(|&(_, v)| v);
-        if let (Some(sent), Some(received)) = (sent, received) {
-            if received > sent {
-                duplicated.push(format!(
-                    "{} {}→{} ({received} > {sent})",
-                    a.label, a.from_seg, a.to_seg
-                ));
-            }
-        }
-    }
-    out.push(InvariantResult {
-        name: "no_duplicate_delivery",
-        verdict: if !duplicated.is_empty() {
-            // Scripted duplication waives this, as does scripted
-            // downtime: a healing ring can loop transiently while the
-            // spanning tree re-blocks a port. The undefended attack arm
-            // is waived too — a rogue root can transiently re-open a
-            // blocked port.
-            if wl.injects_duplicates() || downtime || control_arm {
-                Verdict::Waived
-            } else {
-                Verdict::Fail
-            }
-        } else {
-            Verdict::Pass
-        },
-        detail: if duplicated.is_empty() {
+    // loop. Scripted duplication waives this, as does scripted downtime
+    // (a healing ring can loop transiently while the spanning tree
+    // re-blocks a port) and the undefended attack arm (a rogue root can
+    // transiently re-open a blocked port).
+    let duplicated: Vec<String> = r
+        .apps
+        .iter()
+        .filter_map(|a| {
+            let (sent, received) = (detail(a, "sent")?, detail(a, "received")?);
+            (received > sent).then(|| format!("{} ({received} > {sent})", flow(a)))
+        })
+        .collect();
+    out.push(judge(
+        "no_duplicate_delivery",
+        duplicated.is_empty(),
+        wl.injects_duplicates() || downtime || control_arm,
+        if duplicated.is_empty() {
             "no receiver saw more frames than were sent".to_owned()
         } else {
             format!("duplicated: {}", duplicated.join(", "))
         },
+    ));
+
+    if r.cyclic {
+        let roots: std::collections::BTreeSet<&str> =
+            r.bridges.iter().filter_map(|b| b.root.as_deref()).collect();
+        out.push(judge(
+            "single_root",
+            roots.len() == 1,
+            false,
+            format!("elected roots: {roots:?}"),
+        ));
+    }
+
+    let uploads = wl
+        .items
+        .iter()
+        .filter(|i| matches!(&i.action, AppAction::Upload { kind, .. } if kind.counts_alive()))
+        .count() as u64;
+    if uploads > 0 {
+        let alive = run.world.counters().get(workload::UPLOAD_ALIVE_COUNTER);
+        out.push(judge(
+            "uploads_alive",
+            alive == uploads,
+            false,
+            format!("{alive} of {uploads} uploaded switchlets ran init"),
+        ));
+    }
+    out
+}
+
+/// The recovery plane, on runs that script downtime (link flaps, bridge
+/// crashes): the `recovery` section plus `reconverges_after_heal` and
+/// `no_permanent_blackhole`.
+fn recovery_plane(
+    r: &Report,
+    wl: &Workload,
+    run: &Observed,
+) -> (Option<RecoveryReport>, Vec<InvariantResult>) {
+    if !wl.injects_downtime() {
+        return (None, Vec::new());
+    }
+    let heal_offset = wl.chaos.last_heal_at();
+    let heal = r.epoch + heal_offset.unwrap_or(SimDuration::ZERO);
+    let section = heal_offset.map(|_| RecoveryReport {
+        last_heal: heal,
+        down_drops: r.world.segments.iter().map(|s| s.counters.down_drops).sum(),
+        crashes: wl.chaos.crash_count(),
+        time_to_first_delivery: run
+            .samples
+            .first_delivery_after_heal
+            .map(|t| t.saturating_since(heal)),
     });
 
-    if topo.cyclic() {
-        let roots: std::collections::BTreeSet<&str> =
-            bridges.iter().filter_map(|b| b.root.as_deref()).collect();
-        out.push(InvariantResult {
-            name: "single_root",
-            verdict: if roots.len() == 1 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!("elected roots: {roots:?}"),
-        });
-    }
+    // After the last heal the control plane must settle within a bound:
+    // a spanning-tree re-convergence around a restarted bridge (max-age
+    // expiry plus two forward-delay intervals) on loopy topologies, a
+    // re-flood on learning-only ones.
+    let bound = if r.cyclic {
+        SimDuration::from_secs(55)
+    } else {
+        SimDuration::from_secs(5)
+    };
+    let reconverged = judge(
+        "reconverges_after_heal",
+        r.converged_at.is_none_or(|t| t <= heal + bound),
+        false,
+        match r.converged_at {
+            Some(t) => format!(
+                "last control-plane change at {} ns (heal {} ns, bound {} ns)",
+                t.as_ns(),
+                heal.as_ns(),
+                bound.as_ns()
+            ),
+            None => "control plane never changed".to_owned(),
+        },
+    );
 
-    if uploads > 0 {
-        let alive = world.counters().get(workload::UPLOAD_ALIVE_COUNTER);
-        out.push(InvariantResult {
-            name: "uploads_alive",
-            verdict: if alive == uploads {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!("{alive} of {uploads} uploaded switchlets ran init"),
-        });
-    }
-
-    // Recovery invariants: judged only on runs that script downtime.
-    if downtime {
-        let heal_offset = wl.chaos.last_heal_at().unwrap_or(SimDuration::ZERO);
-        let heal = epoch + heal_offset;
-
-        // After the last heal the control plane must settle within a
-        // bound: a spanning-tree re-convergence around a restarted
-        // bridge (max-age expiry plus two forward-delay intervals) on
-        // loopy topologies, a re-flood on learning-only ones.
-        let bound = if topo.cyclic() {
-            SimDuration::from_secs(55)
+    // No permanent blackhole: every reliable main-phase flow scheduled at
+    // or after the last heal must succeed. Raw blasts are excluded — the
+    // watchdog probe intentionally sacrifices a few frames to the trap
+    // threshold.
+    let heal_offset = heal_offset.unwrap_or(SimDuration::ZERO);
+    let probes: Vec<&AppReport> = wl
+        .items
+        .iter()
+        .zip(&r.apps)
+        .filter(|(item, _)| {
+            item.phase == Phase::Main
+                && item.offset >= heal_offset
+                && !matches!(item.action, AppAction::Blast { .. })
+        })
+        .map(|(_, a)| a)
+        .collect();
+    let dead: Vec<String> = probes.iter().filter(|a| !a.ok).map(|a| flow(a)).collect();
+    let blackhole = judge(
+        "no_permanent_blackhole",
+        dead.is_empty() && !probes.is_empty(),
+        dead.is_empty(),
+        if dead.is_empty() {
+            format!("{} post-heal probes delivered", probes.len())
         } else {
-            SimDuration::from_secs(5)
+            format!("dead after heal: {}", dead.join(", "))
+        },
+    );
+    (section, vec![reconverged, blackhole])
+}
+
+/// The resilience plane, on runs that script bursty loss (the lossy
+/// battery): the `resilience` section plus `uploads_complete_under_loss`,
+/// `retries_within_budget`, `corrupted_image_never_activates` and
+/// `no_livelock`. They hold the adaptive transport and the integrity gate
+/// to account *under* the hostile medium, so none is waived there except
+/// for want of the upload it judges.
+fn resilience_plane(
+    r: &Report,
+    wl: &Workload,
+    run: &Observed,
+) -> (Option<ResilienceReport>, Vec<InvariantResult>) {
+    if !wl.injects_bursts() {
+        return (None, Vec::new());
+    }
+    let mut section = ResilienceReport {
+        retries: 0,
+        restarts: 0,
+        rto_ceiling_hits: 0,
+        integrity_rejects: bridge_total(&r.bridges, "images_rejected"),
+        burst_drops: r
+            .world
+            .segments
+            .iter()
+            .map(|s| s.counters.burst_drops)
+            .sum(),
+        max_stall: None,
+    };
+    let mut max_stall_ns = 0u64;
+    let mut sealed = Vec::new();
+    let mut corrupt = Vec::new();
+    for ((item, p), a) in wl.items.iter().zip(run.placed).zip(&r.apps) {
+        let AppAction::Upload { kind, .. } = item.action else {
+            continue;
         };
-        let reconverged = converged_at.is_none_or(|t| t <= heal + bound);
-        out.push(InvariantResult {
-            name: "reconverges_after_heal",
-            verdict: if reconverged {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: match converged_at {
-                Some(t) => format!(
-                    "last control-plane change at {} ns (heal {} ns, bound {} ns)",
-                    t.as_ns(),
-                    heal.as_ns(),
-                    bound.as_ns()
-                ),
-                None => "control plane never changed".to_owned(),
-            },
-        });
-
-        // No permanent blackhole: every reliable main-phase flow
-        // scheduled at or after the last heal must succeed. Raw blasts
-        // are excluded — the watchdog probe intentionally sacrifices a
-        // few frames to the trap threshold.
-        let mut dead = Vec::new();
-        let mut probes = 0u64;
-        for (item, a) in wl.items.iter().zip(apps) {
-            if item.phase == Phase::Main && item.offset >= heal_offset && a.label != "blast" {
-                probes += 1;
-                if !a.ok {
-                    dead.push(format!("{} {}→{}", a.label, a.from_seg, a.to_seg));
-                }
-            }
+        match kind {
+            UploadKind::Sealed { .. } => sealed.push(a),
+            UploadKind::Corrupt => corrupt.push(a),
+            UploadKind::Inert | UploadKind::Trap => {}
         }
-        out.push(InvariantResult {
-            name: "no_permanent_blackhole",
-            verdict: if !dead.is_empty() {
-                Verdict::Fail
-            } else if probes > 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Waived
-            },
-            detail: if dead.is_empty() {
-                format!("{probes} post-heal probes delivered")
-            } else {
-                format!("dead after heal: {}", dead.join(", "))
-            },
-        });
-    }
-
-    // Resilience invariants: judged only on runs that script bursty
-    // loss (the lossy battery). They hold the adaptive transport and
-    // the integrity gate to account *under* the hostile medium — never
-    // waived there.
-    if wl.injects_bursts() {
-        let detail = |a: &AppReport, key: &str| {
-            a.detail
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map_or(0, |&(_, v)| v)
-        };
-        let sealed: Vec<&AppReport> = apps.iter().filter(|a| a.label == "upload_sealed").collect();
-        let corrupt: Vec<&AppReport> = apps
-            .iter()
-            .filter(|a| a.label == "upload_corrupt")
-            .collect();
-
-        // Every sealed upload must complete despite the burst model
-        // chewing on its segment (and, in the lossy battery, a bridge
-        // crash mid-transfer).
-        let incomplete = sealed.iter().filter(|a| !a.ok).count() as u64;
-        out.push(InvariantResult {
-            name: "uploads_complete_under_loss",
-            verdict: if sealed.is_empty() {
-                Verdict::Waived
-            } else if incomplete == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "{} of {} sealed uploads completed under bursty loss",
-                sealed.len() as u64 - incomplete,
-                sealed.len()
-            ),
-        });
-
-        // ... and must get there inside its recovery budget: no sealed
-        // upload parked, none spent more than `max_retries` actions.
-        let mut worst_used = 0u64;
-        let mut budget = 0u64;
-        let mut blown = 0u64;
-        for a in &sealed {
-            let used = detail(a, "budget_used");
-            worst_used = worst_used.max(used);
-            budget = detail(a, "budget");
-            if detail(a, "parked") > 0 || used > budget {
-                blown += 1;
-            }
+        if let App::Upload(u) = run.world.node::<HostNode>(p.sender).app(0).unwrapped() {
+            section.retries += u.retries as u64;
+            section.restarts += u.restarts as u64;
+            section.rto_ceiling_hits += u.rto_ceiling_hits as u64;
+            max_stall_ns = max_stall_ns.max(u.progress_gap_ns.iter().copied().max().unwrap_or(0));
         }
-        out.push(InvariantResult {
-            name: "retries_within_budget",
-            verdict: if sealed.is_empty() {
-                Verdict::Waived
-            } else if blown == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "worst sealed upload spent {worst_used} of {budget} recovery actions ({blown} exhausted)"
-            ),
-        });
-
-        // The deliberately poisoned image must be refused at the gate —
-        // every re-send rejected, the sender parked with a classified
-        // integrity failure, and the payload never evaluated (its init
-        // would inflate the `uploads_alive` counter, which that
-        // invariant cross-checks).
-        let rejects: u64 = bridges
-            .iter()
-            .flat_map(|b| &b.counters)
-            .filter(|&&(k, _)| k == "images_rejected")
-            .map(|&(_, v)| v)
-            .sum();
-        let unparked = corrupt.iter().filter(|a| !a.ok).count() as u64;
-        let gate_held = unparked == 0 && rejects >= corrupt.len() as u64;
-        out.push(InvariantResult {
-            name: "corrupted_image_never_activates",
-            verdict: if corrupt.is_empty() {
-                Verdict::Waived
-            } else if gate_held {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "{} corrupt uploads, {rejects} gate rejects, {unparked} escaped classification",
-                corrupt.len()
-            ),
-        });
-
-        // Every upload under the hostile medium must reach a terminal
-        // state — completed or parked — before the run ends; a transport
-        // that retries forever would leave one in limbo.
-        let in_limbo = sealed
-            .iter()
-            .chain(&corrupt)
-            .filter(|a| detail(a, "done") == 0 && detail(a, "parked") == 0)
-            .count() as u64;
-        let judged = (sealed.len() + corrupt.len()) as u64;
-        out.push(InvariantResult {
-            name: "no_livelock",
-            verdict: if judged == 0 {
-                Verdict::Waived
-            } else if in_limbo == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "{} of {judged} uploads reached a terminal state",
-                judged - in_limbo
-            ),
-        });
     }
+    section.max_stall = (max_stall_ns > 0).then(|| SimDuration::from_ns(max_stall_ns));
+    let counter = |a: &AppReport, key| detail(a, key).unwrap_or(0);
+    let mut out = Vec::new();
 
-    // The watchdog must engage exactly as scripted — no more, no fewer.
-    if wl.expected_quarantines > 0 {
-        let quarantines = world.counters().get("bridge.quarantines");
-        out.push(InvariantResult {
-            name: "quarantine_engages",
-            verdict: if quarantines == wl.expected_quarantines {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "{quarantines} watchdog quarantines (scripted {})",
-                wl.expected_quarantines
-            ),
-        });
+    // Every sealed upload must complete despite the burst model chewing
+    // on its segment (and, in the lossy battery, a bridge crash
+    // mid-transfer).
+    let incomplete = sealed.iter().filter(|a| !a.ok).count();
+    out.push(judge(
+        "uploads_complete_under_loss",
+        !sealed.is_empty() && incomplete == 0,
+        sealed.is_empty(),
+        format!(
+            "{} of {} sealed uploads completed under bursty loss",
+            sealed.len() - incomplete,
+            sealed.len()
+        ),
+    ));
+
+    // ... and must get there inside its recovery budget: no sealed upload
+    // parked, none spent more than `max_retries` actions.
+    let mut worst_used = 0u64;
+    let mut budget = 0u64;
+    let mut blown = 0u64;
+    for a in &sealed {
+        let used = counter(a, "budget_used");
+        worst_used = worst_used.max(used);
+        budget = counter(a, "budget");
+        if counter(a, "parked") > 0 || used > budget {
+            blown += 1;
+        }
     }
+    out.push(judge(
+        "retries_within_budget",
+        !sealed.is_empty() && blown == 0,
+        sealed.is_empty(),
+        format!(
+            "worst sealed upload spent {worst_used} of {budget} recovery actions ({blown} exhausted)"
+        ),
+    ));
 
-    // Adversarial invariants: the defended arm must shrug the attacks
-    // off; the control arm must visibly suffer them (otherwise the
-    // defended arm proves nothing).
-    if hostile {
-        let sec = security.expect("hostile runs always carry a security report");
-        let rogue_scheduled = wl
-            .items
-            .iter()
-            .any(|i| matches!(i.action, AppAction::RogueBpdu { .. }));
-        let attack_labels = ["mac_flood", "arp_storm", "rogue_bpdu"];
+    // The deliberately poisoned image must be refused at the gate — every
+    // re-send rejected, the sender parked with a classified integrity
+    // failure, and the payload never evaluated (its init would inflate
+    // the `uploads_alive` counter, which that invariant cross-checks).
+    let rejects = section.integrity_rejects;
+    let unparked = corrupt.iter().filter(|a| !a.ok).count();
+    out.push(judge(
+        "corrupted_image_never_activates",
+        !corrupt.is_empty() && unparked == 0 && rejects >= corrupt.len() as u64,
+        corrupt.is_empty(),
+        format!(
+            "{} corrupt uploads, {rejects} gate rejects, {unparked} escaped classification",
+            corrupt.len()
+        ),
+    ));
 
-        out.push(InvariantResult {
-            name: "learn_table_bounded",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else if sec.max_learn_occupancy <= DEFENSE_LEARN_CAP as u64 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "max learning-table occupancy {} (cap {})",
-                sec.max_learn_occupancy, DEFENSE_LEARN_CAP
+    // Every upload under the hostile medium must reach a terminal state —
+    // completed or parked — before the run ends; a transport that retries
+    // forever would leave one in limbo.
+    let judged = sealed.len() + corrupt.len();
+    let in_limbo = sealed
+        .iter()
+        .chain(&corrupt)
+        .filter(|a| counter(a, "done") == 0 && counter(a, "parked") == 0)
+        .count();
+    out.push(judge(
+        "no_livelock",
+        judged > 0 && in_limbo == 0,
+        judged == 0,
+        format!(
+            "{} of {judged} uploads reached a terminal state",
+            judged - in_limbo
+        ),
+    ));
+    (Some(section), out)
+}
+
+/// The watchdog plane, on runs scripted to trip it: `quarantine_engages`
+/// — exactly the scripted number of quarantines, no more, no fewer.
+fn watchdog_plane(wl: &Workload, run: &Observed) -> Vec<InvariantResult> {
+    if wl.expected_quarantines == 0 {
+        return Vec::new();
+    }
+    let quarantines = run.world.counters().get("bridge.quarantines");
+    vec![judge(
+        "quarantine_engages",
+        quarantines == wl.expected_quarantines,
+        false,
+        format!(
+            "{quarantines} watchdog quarantines (scripted {})",
+            wl.expected_quarantines
+        ),
+    )]
+}
+
+/// The security plane, on runs that field hostile hosts: the `security`
+/// section plus `learn_table_bounded`, `victim_flows_survive`,
+/// `storm_suppressed_and_released` and `root_stays_stable` for the
+/// defended arm, and `attack_degrades_undefended` for the control arm —
+/// which must visibly suffer the attacks, or the defended arm proves
+/// nothing.
+fn security_plane(
+    r: &Report,
+    wl: &Workload,
+    run: &Observed,
+) -> (Option<SecurityReport>, Vec<InvariantResult>) {
+    if !wl.injects_attacks() {
+        return (None, Vec::new());
+    }
+    let sec = SecurityReport {
+        defended: r.scenario.defended,
+        max_learn_occupancy: run.samples.max_learn_occupancy,
+        learn_evictions: bridge_total(&r.bridges, "learn_evictions"),
+        learn_rejects: bridge_total(&r.bridges, "learn_rejects"),
+        storm_suppressions: bridge_total(&r.bridges, "storm_suppressions"),
+        storm_releases: run.world.counters().get("bridge.storm_releases"),
+        bpdu_guard_trips: bridge_total(&r.bridges, "bpdu_guard_trips"),
+        rogue_root_seen: run.samples.rogue_root_seen,
+    };
+    let control_arm = control_arm(r, wl);
+    let defended = |name, held, detail| judge(name, !control_arm && held, control_arm, detail);
+    let rogue_scheduled = wl.items.iter().any(|i| {
+        matches!(
+            i.action,
+            AppAction::Attack {
+                kind: AttackKind::RogueBpdu,
+                ..
+            }
+        )
+    });
+    let starved: Vec<String> = wl
+        .items
+        .iter()
+        .zip(&r.apps)
+        .filter(|(item, a)| !matches!(item.action, AppAction::Attack { .. }) && !a.ok)
+        .map(|(_, a)| flow(a))
+        .collect();
+    // The control arm earns its keep by demonstrating degradation: the
+    // flood blows past the (defended-arm) cap, and a scheduled rogue BPDU
+    // actually steals the root.
+    let degraded = sec.max_learn_occupancy > DEFENSE_LEARN_CAP as u64
+        && (!rogue_scheduled || sec.rogue_root_seen);
+    let out = vec![
+        defended(
+            "learn_table_bounded",
+            sec.max_learn_occupancy <= DEFENSE_LEARN_CAP as u64,
+            format!(
+                "max learning-table occupancy {} (cap {DEFENSE_LEARN_CAP})",
+                sec.max_learn_occupancy
             ),
-        });
-
-        let starved: Vec<String> = apps
-            .iter()
-            .filter(|a| !attack_labels.contains(&a.label) && !a.ok)
-            .map(|a| format!("{} {}→{}", a.label, a.from_seg, a.to_seg))
-            .collect();
-        out.push(InvariantResult {
-            name: "victim_flows_survive",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else if starved.is_empty() {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: if starved.is_empty() {
+        ),
+        defended(
+            "victim_flows_survive",
+            starved.is_empty(),
+            if starved.is_empty() {
                 "every victim flow completed under attack".to_owned()
             } else {
                 format!("starved under attack: {}", starved.join(", "))
             },
-        });
-
-        out.push(InvariantResult {
-            name: "storm_suppressed_and_released",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else if sec.storm_suppressions > 0 && sec.storm_suppressions == sec.storm_releases {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
+        ),
+        defended(
+            "storm_suppressed_and_released",
+            sec.storm_suppressions > 0 && sec.storm_suppressions == sec.storm_releases,
+            format!(
                 "{} suppressions, {} releases",
                 sec.storm_suppressions, sec.storm_releases
             ),
-        });
-
-        out.push(InvariantResult {
-            name: "root_stays_stable",
-            verdict: if control_arm {
-                Verdict::Waived
-            } else if !sec.rogue_root_seen && (!rogue_scheduled || sec.bpdu_guard_trips > 0) {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "rogue root seen: {}, guard trips: {} (rogue scheduled: {})",
-                sec.rogue_root_seen, sec.bpdu_guard_trips, rogue_scheduled
+        ),
+        defended(
+            "root_stays_stable",
+            !sec.rogue_root_seen && (!rogue_scheduled || sec.bpdu_guard_trips > 0),
+            format!(
+                "rogue root seen: {}, guard trips: {} (rogue scheduled: {rogue_scheduled})",
+                sec.rogue_root_seen, sec.bpdu_guard_trips
             ),
-        });
-
-        // The control arm earns its keep by demonstrating degradation:
-        // the flood blows past the (defended-arm) cap, and a scheduled
-        // rogue BPDU actually steals the root.
-        let degraded = sec.max_learn_occupancy > DEFENSE_LEARN_CAP as u64
-            && (!rogue_scheduled || sec.rogue_root_seen);
-        out.push(InvariantResult {
-            name: "attack_degrades_undefended",
-            verdict: if !control_arm {
-                Verdict::Waived
-            } else if degraded {
-                Verdict::Pass
-            } else {
-                Verdict::Fail
-            },
-            detail: format!(
-                "max occupancy {} vs cap {}, rogue root seen: {}",
-                sec.max_learn_occupancy, DEFENSE_LEARN_CAP, sec.rogue_root_seen
+        ),
+        judge(
+            "attack_degrades_undefended",
+            control_arm && degraded,
+            !control_arm,
+            format!(
+                "max occupancy {} vs cap {DEFENSE_LEARN_CAP}, rogue root seen: {}",
+                sec.max_learn_occupancy, sec.rogue_root_seen
             ),
-        });
-    }
-
-    out
+        ),
+    ];
+    (Some(sec), out)
 }

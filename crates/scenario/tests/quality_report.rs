@@ -21,7 +21,6 @@ fn small_sweep(seed: u64) -> SweepSpec {
         batteries: vec![BatteryKind::Pings, BatteryKind::Contention],
         seed,
         duration: None,
-        defended_arms: false,
     }
 }
 
