@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ether::MacAddr;
 use netsim::{PortId, SimDuration, SimTime};
 use switchlet::{
-    call, call_scratch, md5, verify_module, Env, ExecConfig, HostDispatch, HostModuleSig, Module,
-    ModuleBuilder, Namespace, Op, Ty, Value, VmError, VmScratch,
+    call, call_scratch, md5, verify_module, Env, ExecConfig, HostDispatch, HostModuleSig, HostSlot,
+    Module, ModuleBuilder, Namespace, Op, Ty, Value, VmError, VmScratch,
 };
 
 /// Host stub for running the VM dumb bridge outside a real bridge node.
@@ -21,17 +21,21 @@ struct StubNet {
 }
 
 impl HostDispatch for StubNet {
-    fn call(&mut self, module: &str, item: &str, args: Vec<Value>) -> Result<Value, VmError> {
-        match (module, item) {
-            ("unixnet", "num_ports") => Ok(Value::Int(2)),
-            ("unixnet", "bind_out") => Ok(Value::handle("oport", args[0].as_int() as u64)),
-            ("unixnet", "send_pkt_out") => {
+    fn call_slot(
+        &mut self,
+        env: &Env,
+        slot: HostSlot,
+        args: &mut [Value],
+    ) -> Result<Value, VmError> {
+        match env.slot_names(slot) {
+            ("unixnet", "num_ports", _) => Ok(Value::Int(2)),
+            ("unixnet", "bind_out", _) => Ok(Value::handle("oport", args[0].as_int() as u64)),
+            ("unixnet", "send_pkt_out", _) => {
                 self.sent += 1;
                 Ok(Value::Int(args[1].as_str().len() as i64))
             }
-            ("func", "register_handler") => Ok(Value::Unit),
-            ("log", "msg") => Ok(Value::Unit),
-            other => Err(VmError::HostUnavailable(format!("{other:?}"))),
+            ("func", "register_handler", _) | ("log", "msg", _) => Ok(Value::Unit),
+            (module, item, _) => Err(VmError::HostUnavailable(format!("{module}.{item}"))),
         }
     }
 }

@@ -215,45 +215,6 @@ impl HostDispatch for HostEnv<'_, '_> {
         };
         self.invoke(f, args)
     }
-
-    /// Name-based path, kept for embedders and tests that address host
-    /// functions by name (the slow path the slot table replaces).
-    fn call(&mut self, module: &str, item: &str, mut args: Vec<Value>) -> Result<Value, VmError> {
-        use HostFn::*;
-        let f = match (module, item) {
-            ("safestd", "hash_string") => HashString,
-            ("safeunix", "gettimeofday") => GetTimeOfDay,
-            ("log", "msg") => LogMsg,
-            ("func", "register_handler") => RegisterHandler,
-            ("timer", "set_timeout") => SetTimeout,
-            ("unixnet", "num_ports") => NumPorts,
-            ("unixnet", "bind_in") => BindIn,
-            ("unixnet", "bind_out") => BindOut,
-            ("unixnet", "iport_to_oport") => IportToOport,
-            ("unixnet", "send_pkt_out") => SendPktOut,
-            ("unixnet", "unbind_in") => UnbindIn,
-            ("unixnet", "unbind_out") => UnbindOut,
-            ("bridgectl", "register_addr") => RegisterAddr,
-            ("bridgectl", "set_port_forward") => SetPortForward,
-            ("bridgectl", "set_port_learn") => SetPortLearn,
-            ("bridgectl", "flush_learning") => FlushLearning,
-            ("bridgectl", "counter_bump") => CounterBump,
-            ("switchctl", "is_running") => IsRunning,
-            ("switchctl", "loaded") => Loaded,
-            ("switchctl", "suspend") => Suspend,
-            ("switchctl", "resume") => Resume,
-            ("switchctl", "stop") => Stop,
-            // `safeunix.system` and `safeunix.open_file` exist here — and
-            // are unreachable: the Env never lists them, so no verified
-            // module can hold a resolved import for them. Reaching this
-            // arm would mean the thinning invariant broke.
-            ("safeunix", "system") | ("safeunix", "open_file") => {
-                unreachable!("thinned host function reached — name-space security broken")
-            }
-            _ => return Err(VmError::HostUnavailable(format!("{module}.{item}"))),
-        };
-        self.invoke(f, &mut args)
-    }
 }
 
 impl HostEnv<'_, '_> {

@@ -759,12 +759,7 @@ mod tests {
     use crate::linker::Namespace;
     use crate::types::Ty;
 
-    struct NoHost;
-    impl crate::env::HostDispatch for NoHost {
-        fn call(&mut self, m: &str, i: &str, _args: Vec<Value>) -> Result<Value, VmError> {
-            Err(VmError::HostUnavailable(format!("{m}.{i}")))
-        }
-    }
+    use crate::env::NoHost;
 
     /// `quad(x) = double(double(x))`, `double(x) = x + x`: two profiled
     /// functions with a caller/callee relationship.
