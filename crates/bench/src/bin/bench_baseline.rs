@@ -15,8 +15,8 @@
 //! ```sh
 //! cargo run --release -p ab_bench --bin bench_baseline -- [--smoke] \
 //!     [--jobs N] [--out BENCH_PR5.json] [--assert-alloc-o1] \
-//!     [--assert-ttcp-allocs 0.5] [--assert-vs-pr4 0.10] \
-//!     [--assert-probe-overhead 0.02] [--assert-scaling 1.8]
+//!     [--assert-ttcp-allocs 0.5] [--baseline BENCH_PR4.json ...] \
+//!     [--assert-scaling 1.8]
 //! ```
 //!
 //! * `--smoke` — CI-sized runs (a few seconds total);
@@ -29,16 +29,14 @@
 //! * `--assert-ttcp-allocs N` — exit nonzero if ttcp/large steady-state
 //!   allocations per delivered frame exceed `N` (the metro tier is held
 //!   to the same budget);
-//! * `--assert-vs-pr4 TOL` — exit nonzero if any case's throughput,
-//!   *normalized to the broadcast/large anchor of the same run*,
-//!   regressed more than `TOL` versus the recorded PR 4 baseline
-//!   (anchor normalization cancels machine speed);
-//! * `--assert-probe-overhead TOL` — exit nonzero if any case's
-//!   ns-per-frame, normalized to the same anchor, grew more than `TOL`
-//!   versus the recorded **PR 5** baseline — the last recording taken
-//!   before the flight-recorder hooks existed. These runs keep the
-//!   probe disarmed, so the gate bounds the *disarmed* per-hook cost
-//!   (one predictable branch each) to the noise floor;
+//! * `--baseline FILE` (repeatable) — read the `cases` of a committed
+//!   bench artifact and exit nonzero if any of its cases' ns-per-frame,
+//!   *normalized to the broadcast/large anchor of the same run*, grew
+//!   more than [`BASELINE_TOLERANCE`] over the artifact's (anchor
+//!   normalization cancels machine speed). A missing file, case or
+//!   anchor fails the gate too. Against `BENCH_PR5.json` — the last
+//!   recording taken before the flight-recorder hooks existed, with the
+//!   probe disarmed here — it bounds the disarmed per-hook cost;
 //! * `--assert-scaling EFF` — exit nonzero if the 4-job sweep speedup
 //!   falls below `EFF` — enforced only when the machine actually has
 //!   ≥ 4 hardware threads (reported as `host_parallelism` either way).
@@ -52,7 +50,7 @@
 use std::time::Instant;
 
 use ab_bench::allocs::{self, CountingAlloc};
-use ab_bench::baseline::{self, case_json, run_case, CaseResult, CASES};
+use ab_bench::baseline::{case_json, run_case, CaseResult, CASES};
 use ab_scenario::sweep::SweepSpec;
 use ab_scenario::{runner, Json};
 use netsim::World;
@@ -69,9 +67,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const ALLOC_O1_RATIO: f64 = 1.5;
 const ALLOC_O1_FLOOR: f64 = 0.1;
 
-/// The case whose throughput serves as the machine-speed anchor for the
-/// normalized PR 4 comparison.
+/// The case whose cost serves as the machine-speed anchor for the
+/// `--baseline` comparisons.
 const ANCHOR: &str = "broadcast/large";
+
+/// How far a case's anchor-normalized ns/frame may rise above a committed
+/// baseline's: the runner noise floor (single full-mode runs spread by up
+/// to 13% on the same machine).
+const BASELINE_TOLERANCE: f64 = 0.15;
 
 /// The seed of the committed sweep the scaling section runs (the same
 /// sweep CI renders and diffs via `examples/scenario_sweep.rs`).
@@ -83,8 +86,7 @@ struct Args {
     out: String,
     assert_o1: bool,
     assert_ttcp_allocs: Option<f64>,
-    assert_vs_pr4: Option<f64>,
-    assert_probe_overhead: Option<f64>,
+    baselines: Vec<String>,
     assert_scaling: Option<f64>,
 }
 
@@ -95,8 +97,7 @@ fn parse_args() -> Args {
         out: String::from("BENCH_PR5.json"),
         assert_o1: false,
         assert_ttcp_allocs: None,
-        assert_vs_pr4: None,
-        assert_probe_overhead: None,
+        baselines: Vec::new(),
         assert_scaling: None,
     };
     let mut args = std::env::args().skip(1);
@@ -117,10 +118,9 @@ fn parse_args() -> Args {
             "--assert-ttcp-allocs" => {
                 parsed.assert_ttcp_allocs = Some(num(&mut args, "--assert-ttcp-allocs"))
             }
-            "--assert-vs-pr4" => parsed.assert_vs_pr4 = Some(num(&mut args, "--assert-vs-pr4")),
-            "--assert-probe-overhead" => {
-                parsed.assert_probe_overhead = Some(num(&mut args, "--assert-probe-overhead"))
-            }
+            "--baseline" => parsed
+                .baselines
+                .push(args.next().expect("--baseline needs a path")),
             "--assert-scaling" => parsed.assert_scaling = Some(num(&mut args, "--assert-scaling")),
             "--out" => parsed.out = args.next().expect("--out needs a path"),
             other => {
@@ -224,43 +224,6 @@ fn main() {
         results.push(c);
     }
 
-    // Improvement ratios against the PR 4 committed baseline.
-    let mut improvements: Vec<(String, Json)> = Vec::new();
-    for c in &results {
-        if let Some(pr4) = baseline::pr4_case(&c.name) {
-            if pr4.frames_per_sec > 0.0 {
-                let speedup = c.frames_per_sec / pr4.frames_per_sec;
-                println!(
-                    "  {:<18} vs PR4 {:.2}x (pr4 {:.1} kframes/s, allocs/frame {:.3} -> {:.3})",
-                    c.name,
-                    speedup,
-                    pr4.frames_per_sec / 1e3,
-                    pr4.allocs_per_frame,
-                    c.allocs_per_frame,
-                );
-                improvements.push((
-                    c.name.clone(),
-                    Json::obj(vec![
-                        (
-                            "frames_per_sec_ratio",
-                            Json::F64((speedup * 100.0).round() / 100.0),
-                        ),
-                        ("ns_per_frame_before", Json::F64(pr4.ns_per_frame)),
-                        (
-                            "ns_per_frame_after",
-                            Json::F64((c.ns_per_frame * 100.0).round() / 100.0),
-                        ),
-                        ("allocs_per_frame_before", Json::F64(pr4.allocs_per_frame)),
-                        (
-                            "allocs_per_frame_after",
-                            Json::F64((c.allocs_per_frame * 1000.0).round() / 1000.0),
-                        ),
-                    ]),
-                ));
-            }
-        }
-    }
-
     // ------------------------------------------------ the scaling sweep
     let spec = SweepSpec::default_sweep(SWEEP_SEED);
     let job_counts = scaling_job_counts(args.jobs);
@@ -349,35 +312,6 @@ fn main() {
         ("host_parallelism", Json::U64(host_parallelism as u64)),
         ("cases", Json::Arr(results.iter().map(case_json).collect())),
         ("scaling", scaling_json),
-        (
-            "pr5_baseline",
-            Json::obj(vec![
-                ("provenance", Json::str(baseline::PR5_PROVENANCE)),
-                ("cases", Json::Arr(pre_cases_json(baseline::PR5_BASELINE))),
-            ]),
-        ),
-        (
-            "pr4_baseline",
-            Json::obj(vec![
-                ("provenance", Json::str(baseline::PR4_PROVENANCE)),
-                ("cases", Json::Arr(pre_cases_json(baseline::PR4_BASELINE))),
-            ]),
-        ),
-        (
-            "pr3_baseline",
-            Json::obj(vec![
-                ("provenance", Json::str(baseline::PR3_PROVENANCE)),
-                ("cases", Json::Arr(pre_cases_json(baseline::PR3_BASELINE))),
-            ]),
-        ),
-        (
-            "pre_refactor",
-            Json::obj(vec![
-                ("provenance", Json::str(baseline::PRE_PROVENANCE)),
-                ("cases", Json::Arr(pre_cases_json(baseline::PRE_REFACTOR))),
-            ]),
-        ),
-        ("improvement_vs_pr4", Json::Obj(improvements)),
     ]);
 
     std::fs::write(&args.out, doc.render_pretty() + "\n").expect("write baseline JSON");
@@ -451,95 +385,8 @@ fn main() {
         }
     }
 
-    if let Some(tol) = args.assert_vs_pr4 {
-        match (
-            case_num(ANCHOR, "frames_per_sec_num"),
-            baseline::pr4_case(ANCHOR),
-        ) {
-            (Some(anchor_now), Some(anchor_pr4)) => {
-                for c in &results {
-                    let Some(pr4) = baseline::pr4_case(&c.name) else {
-                        continue;
-                    };
-                    let Some(now) = case_num(&c.name, "frames_per_sec_num") else {
-                        continue;
-                    };
-                    let now_rel = now / anchor_now;
-                    let pr4_rel = pr4.frames_per_sec / anchor_pr4.frames_per_sec;
-                    let ratio = now_rel / pr4_rel;
-                    let ok = ratio >= 1.0 - tol;
-                    println!(
-                        "# vs PR4 (normalized to {ANCHOR}): {:<18} {:.2}x -> {}",
-                        c.name,
-                        ratio,
-                        if ok { "OK" } else { "REGRESSED" }
-                    );
-                    if !ok {
-                        eprintln!(
-                            "throughput regressed >{:.0}% vs the PR4 baseline (normalized): \
-                             {} ratio {:.2}",
-                            tol * 100.0,
-                            c.name,
-                            ratio
-                        );
-                        failed = true;
-                    }
-                }
-            }
-            _ => {
-                eprintln!("anchor case missing; cannot assert the PR4 comparison");
-                failed = true;
-            }
-        }
-    }
-
-    if let Some(tol) = args.assert_probe_overhead {
-        // Same anchor normalization as the PR 4 gate, but against the
-        // PR 5 recording (the last one with no probe hooks compiled in)
-        // and on ns-per-frame: every case's anchor-relative cost per
-        // delivered frame must stay within `tol` of what it was before
-        // the flight recorder existed. The probe is disarmed throughout
-        // these runs, so this bounds the disarmed hook cost.
-        match (
-            case_num(ANCHOR, "ns_per_frame_num"),
-            baseline::pr5_case(ANCHOR),
-        ) {
-            (Some(anchor_now), Some(anchor_pr5)) if anchor_now > 0.0 => {
-                for c in &results {
-                    let Some(pr5) = baseline::pr5_case(&c.name) else {
-                        continue;
-                    };
-                    let Some(now) = case_num(&c.name, "ns_per_frame_num") else {
-                        continue;
-                    };
-                    let now_rel = now / anchor_now;
-                    let pr5_rel = pr5.ns_per_frame / anchor_pr5.ns_per_frame;
-                    let ratio = now_rel / pr5_rel;
-                    let ok = ratio <= 1.0 + tol;
-                    println!(
-                        "# probe overhead (disarmed, vs PR5, normalized to {ANCHOR}): \
-                         {:<18} {:.3}x -> {}",
-                        c.name,
-                        ratio,
-                        if ok { "OK" } else { "EXCEEDED" }
-                    );
-                    if !ok {
-                        eprintln!(
-                            "disarmed probe overhead exceeds {:.1}%: {} ns/frame ratio {:.3} \
-                             vs the PR5 (pre-probe) baseline",
-                            tol * 100.0,
-                            c.name,
-                            ratio
-                        );
-                        failed = true;
-                    }
-                }
-            }
-            _ => {
-                eprintln!("anchor case missing; cannot assert the probe-overhead bound");
-                failed = true;
-            }
-        }
+    for path in &args.baselines {
+        failed |= !within_baseline(&doc, path);
     }
 
     // Byte-identity across job counts is a hard correctness property,
@@ -585,26 +432,73 @@ fn main() {
     }
 }
 
-fn pre_cases_json(cases: &[baseline::PreCase]) -> Vec<Json> {
-    cases
+/// The `--baseline` gate against the committed artifact at `path`: every
+/// case it records must be in this run, and its ns/frame, normalized to
+/// [`ANCHOR`] on both sides, may not exceed the artifact's by more than
+/// [`BASELINE_TOLERANCE`]. Reports and returns whether the gate held.
+fn within_baseline(doc: &Json, path: &str) -> bool {
+    let base = match std::fs::read_to_string(path).map(|text| Json::parse(&text)) {
+        Ok(Ok(base)) => base,
+        Ok(Err(e)) => {
+            eprintln!("baseline {path}: not JSON: {e}");
+            return false;
+        }
+        Err(e) => {
+            eprintln!("baseline {path}: {e}");
+            return false;
+        }
+    };
+    let (Some(Json::Arr(now)), Some(Json::Arr(then))) = (doc.get("cases"), base.get("cases"))
+    else {
+        eprintln!("baseline {path}: no cases");
+        return false;
+    };
+    let (Some(anchor_now), Some(anchor_then)) =
+        (ns_per_frame(now, ANCHOR), ns_per_frame(then, ANCHOR))
+    else {
+        eprintln!("baseline {path}: anchor case {ANCHOR} missing");
+        return false;
+    };
+    let mut held = true;
+    for case in then {
+        let Some(Json::Str(name)) = case.get("name") else {
+            eprintln!("baseline {path}: a case has no name");
+            held = false;
+            continue;
+        };
+        let (Some(now), Some(then)) = (ns_per_frame(now, name), ns_per_frame(then, name)) else {
+            eprintln!("baseline {path}: case {name} missing its ns/frame here or there");
+            held = false;
+            continue;
+        };
+        let ratio = (now / anchor_now) / (then / anchor_then);
+        let ok = ratio <= 1.0 + BASELINE_TOLERANCE;
+        println!(
+            "# vs {path} (ns/frame normalized to {ANCHOR}): {name:<18} {ratio:.3}x -> {}",
+            if ok { "OK" } else { "REGRESSED" }
+        );
+        if !ok {
+            eprintln!(
+                "{name} ns/frame regressed >{:.0}% vs {path} (normalized): ratio {ratio:.3}",
+                BASELINE_TOLERANCE * 100.0
+            );
+            held = false;
+        }
+    }
+    held
+}
+
+/// Case `name`'s ns/frame in a bench artifact's `cases`: the numeric
+/// `ns_per_frame_num` where the artifact has one, else the display string
+/// `ns_per_frame` (older artifacts store their numbers only as strings).
+fn ns_per_frame(cases: &[Json], name: &str) -> Option<f64> {
+    let case = cases
         .iter()
-        .map(|p| {
-            Json::obj(vec![
-                ("name", Json::str(p.name)),
-                ("frames_delivered", Json::U64(p.frames_delivered)),
-                (
-                    "frames_per_sec",
-                    Json::str(format!("{:.2}", p.frames_per_sec)),
-                ),
-                ("frames_per_sec_num", Json::F64(p.frames_per_sec)),
-                ("ns_per_frame", Json::str(format!("{:.2}", p.ns_per_frame))),
-                ("ns_per_frame_num", Json::F64(p.ns_per_frame)),
-                (
-                    "allocs_per_frame",
-                    Json::str(format!("{:.3}", p.allocs_per_frame)),
-                ),
-                ("allocs_per_frame_num", Json::F64(p.allocs_per_frame)),
-            ])
+        .find(|c| c.get("name") == Some(&Json::str(name)))?;
+    case.get("ns_per_frame_num")
+        .and_then(Json::as_f64)
+        .or_else(|| match case.get("ns_per_frame") {
+            Some(Json::Str(s)) => s.parse().ok(),
+            _ => None,
         })
-        .collect()
 }
