@@ -7,6 +7,7 @@ use active_bridge::switchlets::dumb_vm;
 use active_bridge::switchlets::stp::bpdu::{BridgeId, ConfigBpdu};
 use active_bridge::switchlets::stp::engine::StpEngine;
 use active_bridge::{DecisionCache, LearningTable, StpTimers, Verdict};
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ether::MacAddr;
 use netsim::{PortId, SimDuration, SimTime};
@@ -87,12 +88,13 @@ fn bench(c: &mut Criterion) {
     });
 
     // Per-frame interpreted forwarding — the analogue of the paper's
-    // "cost per frame within Caml".
+    // "cost per frame within Caml". The frame enters as a clone of one
+    // shared buffer in an argument array, as the bridge passes it.
     {
         let mut ns = Namespace::new(stub_env());
         ns.load(&image).unwrap();
         let (handler, _) = ns.lookup_export("vm_dumb", "switching").unwrap();
-        let frame = vec![0u8; 1024];
+        let frame = Bytes::from(vec![0u8; 1024]);
         let mut host = StubNet { sent: 0 };
         c.bench_function("vm_dumb_forward_1024B_frame", |b| {
             b.iter(|| {
@@ -100,7 +102,7 @@ fn bench(c: &mut Criterion) {
                     &ns,
                     &mut host,
                     handler,
-                    vec![Value::str(frame.clone()), Value::Int(0)],
+                    [Value::Str(frame.clone()), Value::Int(0)],
                     &ExecConfig::default(),
                 )
                 .unwrap()
@@ -185,7 +187,7 @@ fn bench(c: &mut Criterion) {
                     &ns,
                     &mut switchlet::NoHost,
                     fv,
-                    vec![Value::Int(100)],
+                    [Value::Int(100)],
                     &ExecConfig::default(),
                     &mut scratch,
                 )
@@ -231,7 +233,7 @@ fn bench(c: &mut Criterion) {
                     &ns,
                     &mut host,
                     fv,
-                    vec![Value::Int(50)],
+                    [Value::Int(50)],
                     &ExecConfig::default(),
                     &mut scratch,
                 )

@@ -114,24 +114,26 @@ pub struct HostEnv<'a, 'w> {
     /// Registered VM handlers (`module.key` → callable).
     pub vm_handlers: &'a mut std::collections::HashMap<String, FuncVal>,
     /// Callable → owning module (restores identity in callbacks).
-    pub vm_owner: &'a mut std::collections::HashMap<FuncVal, String>,
+    pub vm_owner: &'a mut std::collections::HashMap<FuncVal, Rc<str>>,
     /// Bridge station address.
     pub mac: MacAddr,
     /// Bridge name (logs).
     pub bridge_name: &'a str,
-    /// The module being initialized ("" during handler callbacks).
-    pub module_name: String,
+    /// The module being initialized, or the owner of the invoked
+    /// callable ("" if unknown). Shared with `vm_owner`, so entering a
+    /// handler is a refcount bump, not a name copy.
+    pub module_name: Rc<str>,
 }
 
 fn str_arg(args: &[Value], i: usize) -> String {
     String::from_utf8_lossy(args[i].as_str()).into_owned()
 }
 
-/// Take ownership of a string argument without copying when the VM holds
-/// the only reference (the common case for freshly built frames).
-fn take_bytes(args: &mut [Value], i: usize) -> Vec<u8> {
+/// Move a string argument out of the VM's argument slice — a `Bytes`
+/// handle, so no byte is copied whoever else holds the buffer.
+fn take_bytes(args: &mut [Value], i: usize) -> Bytes {
     match std::mem::replace(&mut args[i], Value::Unit) {
-        Value::Str(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
+        Value::Str(b) => b,
         other => panic!("verifier invariant broken: expected str, got {other:?}"),
     }
 }
@@ -202,7 +204,7 @@ fn host_fn(slot: HostSlot) -> Option<HostFn> {
 impl HostDispatch for HostEnv<'_, '_> {
     /// Slot-indexed dispatch: the per-frame path through the host
     /// boundary. `args` is the VM's scratch slice; string arguments are
-    /// moved out, not copied, when uniquely owned.
+    /// moved out as shared `Bytes`, never copied.
     fn call_slot(
         &mut self,
         env: &Env,
@@ -305,11 +307,12 @@ impl HostEnv<'_, '_> {
                 if id >= self.plane.num_ports() {
                     return Err(VmError::Host("No_interface".into()));
                 }
-                // Moves the frame bytes out of the VM (no copy when the
-                // VM holds the only reference) — the data-plane boundary.
+                // Moves the frame's `Bytes` out of the VM and sends it: a
+                // frame the switchlet received goes back out as a refcount
+                // bump of the same buffer — the data-plane boundary.
                 let bytes = take_bytes(args, 1);
                 let len = bytes.len();
-                self.sim.send(PortId(id), Bytes::from(bytes));
+                self.sim.send(PortId(id), bytes);
                 Ok(Value::Int(len as i64))
             }
             HostFn::UnbindIn | HostFn::UnbindOut => {

@@ -55,7 +55,7 @@
 //! let mut ns = Namespace::new(Env::new());
 //! ns.load(&image).unwrap();
 //! let (fv, _) = ns.lookup_export("inc", "inc").unwrap();
-//! let (v, _) = call(&ns, &mut NoHost, fv, vec![Value::Int(41)], &ExecConfig::default()).unwrap();
+//! let (v, _) = call(&ns, &mut NoHost, fv, [Value::Int(41)], &ExecConfig::default()).unwrap();
 //! assert_eq!(v.as_int(), 42);
 //! ```
 

@@ -10,6 +10,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
+
 use crate::types::Ty;
 
 /// Which loaded module instance a function reference points into.
@@ -58,8 +60,10 @@ pub enum Value {
     Bool(bool),
     /// A 64-bit integer.
     Int(i64),
-    /// An immutable byte string.
-    Str(Rc<Vec<u8>>),
+    /// An immutable byte string. `Bytes` is the buffer the simulator's
+    /// `FrameBuf` wraps, so a received frame enters the VM, and leaves it
+    /// through a host call, as a refcount bump of the same storage.
+    Str(Bytes),
     /// A tuple.
     Tuple(Rc<Vec<Value>>),
     /// A function reference.
@@ -69,8 +73,9 @@ pub enum Value {
     /// An opaque handle of an abstract named type (e.g. an `iport`).
     /// Only host functions mint these.
     Handle {
-        /// The nominal type tag.
-        tag: Rc<str>,
+        /// The nominal type tag (host functions mint handles, and every
+        /// tag they use is a literal).
+        tag: &'static str,
         /// Host-assigned identity.
         id: u64,
     },
@@ -79,7 +84,7 @@ pub enum Value {
 impl Value {
     /// Build a string value.
     pub fn str(bytes: impl Into<Vec<u8>>) -> Value {
-        Value::Str(Rc::new(bytes.into()))
+        Value::Str(Bytes::from(bytes.into()))
     }
 
     /// Build an empty table.
@@ -88,11 +93,8 @@ impl Value {
     }
 
     /// Build a handle.
-    pub fn handle(tag: &str, id: u64) -> Value {
-        Value::Handle {
-            tag: Rc::from(tag),
-            id,
-        }
+    pub fn handle(tag: &'static str, id: u64) -> Value {
+        Value::Handle { tag, id }
     }
 
     /// Convert to a table key; `None` if the value is not hashable.
@@ -101,16 +103,31 @@ impl Value {
             Value::Unit => Some(Key::Unit),
             Value::Bool(b) => Some(Key::Bool(*b)),
             Value::Int(i) => Some(Key::Int(*i)),
-            Value::Str(s) => Some(Key::Str(s.as_ref().clone())),
+            Value::Str(s) => Some(Key::Str(s.to_vec())),
             _ => None,
         }
     }
 
-    /// Structural equality on the hashable subset; `None` for
-    /// non-comparable values (the verifier prevents reaching that case via
-    /// `Eq`/`Ne` instructions).
+    /// Structural equality on the hashable subset, compared in place (no
+    /// [`Key`] is built); `None` for non-comparable values (the verifier
+    /// prevents reaching that case via `Eq`/`Ne` instructions). Agrees
+    /// with `to_key()` equality, values of different variants included.
     pub fn hash_eq(&self, other: &Value) -> Option<bool> {
-        Some(self.to_key()? == other.to_key()?)
+        Some(match (self, other) {
+            (Value::Unit, Value::Unit) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            _ if self.is_hashable() && other.is_hashable() => false,
+            _ => return None,
+        })
+    }
+
+    fn is_hashable(&self) -> bool {
+        matches!(
+            self,
+            Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Str(_)
+        )
     }
 
     /// Whether this value inhabits `ty`. Used at host-call boundaries and
@@ -126,7 +143,7 @@ impl Value {
             }
             (Value::Func(_), Ty::Func(_)) => true, // arity checked at link/verify
             (Value::Table(_), Ty::Table(_, _)) => true,
-            (Value::Handle { tag, .. }, Ty::Named(want)) => tag.as_ref() == want.as_str(),
+            (Value::Handle { tag, .. }, Ty::Named(want)) => *tag == want.as_str(),
             _ => false,
         }
     }
@@ -149,7 +166,7 @@ impl Value {
     }
 
     /// Extract a string.
-    pub fn as_str(&self) -> &Rc<Vec<u8>> {
+    pub fn as_str(&self) -> &Bytes {
         match self {
             Value::Str(s) => s,
             other => panic!("verifier invariant broken: expected str, got {other:?}"),
@@ -159,7 +176,7 @@ impl Value {
     /// Extract a handle id, checking the tag.
     pub fn as_handle(&self, want_tag: &str) -> u64 {
         match self {
-            Value::Handle { tag, id } if tag.as_ref() == want_tag => *id,
+            Value::Handle { tag, id } if *tag == want_tag => *id,
             other => panic!("verifier invariant broken: expected {want_tag}, got {other:?}"),
         }
     }
@@ -199,6 +216,32 @@ mod tests {
         assert_eq!(Value::Int(1).hash_eq(&Value::Int(2)), Some(false));
         assert_eq!(Value::str("a").hash_eq(&Value::str("a")), Some(true));
         assert_eq!(Value::new_table().hash_eq(&Value::new_table()), None);
+    }
+
+    #[test]
+    fn hash_eq_agrees_with_key_equality_on_every_pair() {
+        let values = [
+            Value::Unit,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::str(""),
+            Value::str("a"),
+            Value::str("ab"),
+            Value::str("b"),
+            Value::str([0u8]),
+            Value::str([1u8]),
+        ];
+        for a in &values {
+            for b in &values {
+                let want = a.to_key().unwrap() == b.to_key().unwrap();
+                assert_eq!(a.hash_eq(b), Some(want), "{a:?} vs {b:?}");
+            }
+            assert_eq!(a.hash_eq(&Value::new_table()), None);
+            assert_eq!(Value::handle("iport", 0).hash_eq(a), None);
+        }
     }
 
     #[test]

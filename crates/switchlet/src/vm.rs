@@ -27,6 +27,8 @@
 
 use std::rc::Rc;
 
+use bytes::Bytes;
+
 use crate::env::{HostDispatch, HostSlot};
 use crate::linker::Namespace;
 use crate::value::{FuncVal, InstanceId, Key, Value};
@@ -191,7 +193,7 @@ pub fn call(
     ns: &Namespace,
     host: &mut dyn HostDispatch,
     target: FuncVal,
-    args: Vec<Value>,
+    args: impl IntoIterator<Item = Value>,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats), VmError> {
     let mut scratch = VmScratch::new();
@@ -199,13 +201,15 @@ pub fn call(
 }
 
 /// Call a function value with `args`, reusing the given arena. This is
-/// the per-frame entry point: with a long-lived `scratch` the invocation
-/// allocates nothing in steady state.
+/// the per-frame entry point: with a long-lived `scratch` and the
+/// arguments passed as an array (`[Value; N]`), the invocation allocates
+/// nothing in steady state — the arguments go straight into the arena's
+/// locals.
 pub fn call_scratch(
     ns: &Namespace,
     host: &mut dyn HostDispatch,
     target: FuncVal,
-    mut args: Vec<Value>,
+    args: impl IntoIterator<Item = Value>,
     cfg: &ExecConfig,
     scratch: &mut VmScratch,
 ) -> Result<(Value, ExecStats), VmError> {
@@ -219,23 +223,24 @@ pub fn call_scratch(
     let result = match target {
         FuncVal::Host { module, item } => {
             stats.host_calls += 1;
+            let mut args: Vec<Value> = args.into_iter().collect();
             host.call_slot(ns.env(), HostSlot { module, item }, &mut args)
         }
         FuncVal::Vm { instance, func } => {
+            scratch.locals.extend(args);
+            let params = &ns.instance(instance).module.functions[func as usize].params;
             debug_assert_eq!(
-                args.len(),
-                ns.instance(instance).module.functions[func as usize]
-                    .params
-                    .len(),
+                scratch.locals.len() - locals_mark,
+                params.len(),
                 "arity mismatch at entry"
             );
             debug_assert!(
-                args.iter()
-                    .zip(&ns.instance(instance).module.functions[func as usize].params)
+                scratch.locals[locals_mark..]
+                    .iter()
+                    .zip(params)
                     .all(|(v, t)| v.matches(t)),
                 "argument type mismatch at entry"
             );
-            scratch.locals.append(&mut args);
             exec(
                 ns,
                 host,
@@ -382,8 +387,8 @@ fn exec_inner(
             Inst::ConstBool(b) => push!(Value::Bool(*b)),
             Inst::ConstInt(i) => push!(Value::Int(*i)),
             Inst::ConstStr(n) => {
-                // Interned at link time: pushing a pool constant is an
-                // `Rc` clone (pointer bump), never a byte copy.
+                // Interned at link time: pushing a pool constant is a
+                // `Bytes` clone (refcount bump), never a byte copy.
                 push!(Value::Str(inst_ref.str_consts[*n as usize].clone()))
             }
             Inst::LocalGet(n) => push!(local!(*n).clone()),
@@ -612,9 +617,9 @@ fn exec_inner(
             Inst::StrConcat => {
                 let b = pop!();
                 let a = pop!();
-                let mut out = a.as_str().as_ref().clone();
+                let mut out = a.as_str().to_vec();
                 out.extend_from_slice(b.as_str());
-                push!(Value::Str(Rc::new(out)));
+                push!(Value::Str(Bytes::from(out)));
             }
             Inst::StrByte => {
                 let i = pop!().as_int();
@@ -639,14 +644,17 @@ fn exec_inner(
                         index: start,
                     });
                 }
+                // A copy, not a zero-copy `Bytes::slice`: a slice would pin
+                // its whole parent (a received frame) for as long as the
+                // switchlet keeps it.
                 let out = s[start as usize..start as usize + len as usize].to_vec();
-                push!(Value::Str(Rc::new(out)));
+                push!(Value::Str(Bytes::from(out)));
             }
             Inst::StrPackInt(width) => {
                 let v = pop!().as_int() as u64;
                 let bytes = v.to_be_bytes();
                 let out = bytes[8 - *width as usize..].to_vec();
-                push!(Value::Str(Rc::new(out)));
+                push!(Value::Str(Bytes::from(out)));
             }
             Inst::StrUnpackInt(width) => {
                 let off = pop!().as_int();
