@@ -4,9 +4,10 @@
 //! behaviour as [`crate::switchlets::dumb::DumbBridge`], but authored with
 //! the assembler, shipped as verified byte codes, loaded over TFTP, and
 //! executed by the VM per frame. Integration tests check behavioural
-//! equivalence against the native implementation, and the VM's measured
-//! per-frame instruction cost feeds the interpreted-forwarding discussion
-//! in EXPERIMENTS.md (the analogue of the paper's 0.47 ms Caml cost).
+//! equivalence against the native implementation, and every bridge of
+//! the `ttcp_vm` workload in `perfbench/README.md` runs it, which gives
+//! interpreted forwarding its end-to-end number (the analogue of the
+//! paper's 0.47 ms Caml cost).
 
 use switchlet::{ModuleBuilder, Op, Ty};
 
