@@ -1,7 +1,9 @@
 //! Microbenchmarks of the simulator's event queue, exercised through the
 //! `World` API: future-dated timer churn through the binary heap,
 //! zero-delay timer chains through the same-instant fast lane, and
-//! broadcast fan-out through the batched delivery path.
+//! broadcast fan-out through the batched delivery path, with listeners
+//! that only count frames and with listeners that hand each frame back to
+//! the world's pool as `HostNode`'s receive path does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::{Ctx, FrameBuf, Node, PortId, SegmentConfig, SimDuration, SimTime, TimerToken, World};
@@ -117,6 +119,27 @@ impl Node for Sink {
     }
 }
 
+/// Counts frames, then recycles each one: the talker keeps its own
+/// handle, so every check finds the buffer shared and reclaims nothing —
+/// the per-listener cost a flood pays on every host.
+struct RecyclingSink(u64);
+
+impl Node for RecyclingSink {
+    fn name(&self) -> &str {
+        "recycling-sink"
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
+        self.0 += 1;
+        ctx.recycle_frame(frame);
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
 fn bench_timer_churn(c: &mut Criterion) {
     c.bench_function("micro_event_queue/timer_churn_10k", |b| {
         b.iter(|| {
@@ -148,25 +171,34 @@ fn bench_zero_chain(c: &mut Criterion) {
     });
 }
 
+/// One talker sends 500 frames to 32 listeners built by `sink`.
+fn broadcast_fanout<N: Node>(sink: impl Fn() -> N) -> u64 {
+    let mut world = World::new(1);
+    world.trace_mut().set_enabled(false);
+    let lan = world.add_segment(SegmentConfig::default());
+    let t = world.add_node(Talker {
+        frame: FrameBuf::from(vec![0x42u8; 1400]),
+        sent: 0,
+        limit: 500,
+    });
+    world.attach(t, lan);
+    for _ in 0..32 {
+        let s = world.add_node(sink());
+        world.attach(s, lan);
+    }
+    world.run_until(SimTime::from_secs(10));
+    world.frames_delivered()
+}
+
 fn bench_broadcast_fanout(c: &mut Criterion) {
     c.bench_function("micro_event_queue/broadcast_fanout_32x500", |b| {
-        b.iter(|| {
-            let mut world = World::new(1);
-            world.trace_mut().set_enabled(false);
-            let lan = world.add_segment(SegmentConfig::default());
-            let t = world.add_node(Talker {
-                frame: FrameBuf::from(vec![0x42u8; 1400]),
-                sent: 0,
-                limit: 500,
-            });
-            world.attach(t, lan);
-            for _ in 0..32 {
-                let s = world.add_node(Sink(0));
-                world.attach(s, lan);
-            }
-            world.run_until(SimTime::from_secs(10));
-            world.frames_delivered()
-        })
+        b.iter(|| broadcast_fanout(|| Sink(0)))
+    });
+}
+
+fn bench_broadcast_fanout_recycling(c: &mut Criterion) {
+    c.bench_function("micro_event_queue/broadcast_fanout_recycling_32x500", |b| {
+        b.iter(|| broadcast_fanout(|| RecyclingSink(0)))
     });
 }
 
@@ -174,6 +206,7 @@ criterion_group!(
     benches,
     bench_timer_churn,
     bench_zero_chain,
-    bench_broadcast_fanout
+    bench_broadcast_fanout,
+    bench_broadcast_fanout_recycling
 );
 criterion_main!(benches);

@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use ether::{EtherType, Frame, MacAddr};
 use netsim::{
-    Ctx, FrameBuf, Node, Offer, PortId, ServiceQueue, SimDuration, TimerHandle, TimerToken,
+    Ctx, FastMap, FrameBuf, Node, Offer, PortId, ServiceQueue, SimDuration, TimerHandle, TimerToken,
 };
 use switchlet::{ExecConfig, FuncVal, Module, Namespace, Value, VmScratch};
 
@@ -299,7 +299,7 @@ pub struct BridgeNode {
     by_name: HashMap<String, usize>,
     ns: Namespace,
     vm_handlers: HashMap<String, FuncVal>,
-    vm_owner: HashMap<FuncVal, Rc<str>>,
+    vm_owner: FastMap<FuncVal, Rc<str>>,
     vm_timers: Vec<(FuncVal, i64)>,
     factories: HashMap<String, NativeFactory>,
     boot_images: Vec<Vec<u8>>,
@@ -351,7 +351,7 @@ impl BridgeNode {
             by_name: HashMap::new(),
             ns: Namespace::new(hostmods::host_env()),
             vm_handlers: HashMap::new(),
-            vm_owner: HashMap::new(),
+            vm_owner: FastMap::default(),
             vm_timers: Vec::new(),
             factories: crate::switchlets::default_factories(),
             boot_images: Vec::new(),

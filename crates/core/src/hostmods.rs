@@ -114,7 +114,7 @@ pub struct HostEnv<'a, 'w> {
     /// Registered VM handlers (`module.key` → callable).
     pub vm_handlers: &'a mut std::collections::HashMap<String, FuncVal>,
     /// Callable → owning module (restores identity in callbacks).
-    pub vm_owner: &'a mut std::collections::HashMap<FuncVal, Rc<str>>,
+    pub vm_owner: &'a mut netsim::FastMap<FuncVal, Rc<str>>,
     /// Bridge station address.
     pub mac: MacAddr,
     /// Bridge name (logs).

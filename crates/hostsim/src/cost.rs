@@ -3,8 +3,9 @@
 //! The paper's hosts were "Intel Pentiums running with a version 2.0.28
 //! Linux kernel"; their software costs (syscall per write, protocol
 //! processing per packet, copying per byte) bound the *unbridged* ttcp at
-//! 76 Mb/s and pin the small-write rates. Constants calibrated in
-//! EXPERIMENTS.md.
+//! 76 Mb/s and pin the small-write rates. The calibration is held by the
+//! paper-value bands in `tests/agility_and_perf.rs` (`ttcp_headline_numbers`:
+//! 60–85 Mb/s unbridged against the paper's 76).
 
 use netsim::SimDuration;
 

@@ -80,11 +80,20 @@ impl FrameBuf {
     /// frame that just died hands its allocation back to a pool instead
     /// of the allocator. Returns `self` unchanged otherwise (cheap: one
     /// refcount check).
+    #[inline]
     pub fn try_into_vec(self) -> Result<Vec<u8>, FrameBuf> {
         match self.0.try_into_mut() {
             Ok(m) => Ok(Vec::from(m)),
             Err(b) => Err(FrameBuf(b)),
         }
+    }
+
+    /// True if this is the last reference to the whole storage, i.e.
+    /// exactly when [`FrameBuf::try_into_vec`] would succeed. Checked in
+    /// place, so a recycling path moves only the frames it can reclaim.
+    #[inline]
+    pub fn is_unique(&self) -> bool {
+        self.0.is_unique()
     }
 
     /// Copy-on-write mutation: clones the contents into a private buffer,
@@ -108,6 +117,7 @@ impl FrameBuf {
 
 impl std::ops::Deref for FrameBuf {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.0
     }
@@ -120,6 +130,7 @@ impl AsRef<[u8]> for FrameBuf {
 }
 
 impl From<Bytes> for FrameBuf {
+    #[inline]
     fn from(b: Bytes) -> Self {
         FrameBuf(b)
     }
@@ -132,6 +143,7 @@ impl From<FrameBuf> for Bytes {
 }
 
 impl From<Vec<u8>> for FrameBuf {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         FrameBuf(Bytes::from(v))
     }

@@ -99,9 +99,12 @@ impl WorldCore {
     }
 
     /// Return a dead frame's backing buffer to the pool (no-op when the
-    /// storage is still shared or the pool is full).
+    /// storage is still shared or the pool is full). On a flood every
+    /// listener but at most one holds a shared frame, so uniqueness is
+    /// checked in place first and only a reclaimable frame is moved.
+    #[inline]
     fn recycle_frame(&mut self, frame: FrameBuf) {
-        if self.frame_pool.len() < FRAME_POOL_CAP {
+        if frame.is_unique() && self.frame_pool.len() < FRAME_POOL_CAP {
             if let Ok(mut v) = frame.try_into_vec() {
                 v.clear();
                 self.frame_pool.push(v);
@@ -208,6 +211,7 @@ impl<'w> Ctx<'w> {
     /// [`FrameBuf`] (a `FrameBuf` clone is a refcount bump, so re-sending
     /// a received or prebuilt frame never copies). Panics if the port
     /// does not exist.
+    #[inline]
     pub fn send(&mut self, port: PortId, frame: impl Into<FrameBuf>) {
         let seg = self.core.node_ports[self.node.0]
             .get(port.0)
@@ -279,6 +283,7 @@ impl<'w> Ctx<'w> {
     /// Take a cleared byte buffer of at least `cap` capacity from the
     /// world's frame pool — the allocation-free way to start building a
     /// frame. Pair with [`Ctx::recycle_frame`].
+    #[inline]
     pub fn take_buf(&mut self, cap: usize) -> Vec<u8> {
         self.core.take_buf(cap)
     }
@@ -287,6 +292,7 @@ impl<'w> Ctx<'w> {
     /// reclaims storage the caller exclusively owns (one cheap refcount
     /// check otherwise), so it is always safe to call on the last handle
     /// a node holds.
+    #[inline]
     pub fn recycle_frame(&mut self, frame: FrameBuf) {
         self.core.recycle_frame(frame);
     }

@@ -176,3 +176,121 @@ fn fault_duplicates_share_storage_with_each_other() {
         "both fault copies share one allocation"
     );
 }
+
+/// Builds one frame from the world's pool and sends it, then (after the
+/// fan-out has drained) takes the next buffer and records where both
+/// allocations live.
+#[derive(Default)]
+struct PoolBuilder {
+    sent_at: usize,
+    next_at: usize,
+}
+
+impl Node for PoolBuilder {
+    fn name(&self) -> &str {
+        "pool-builder"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.schedule(SimDuration::from_us(1), TimerToken(0));
+        ctx.schedule(SimDuration::from_ms(1), TimerToken(1));
+    }
+    fn on_frame(&mut self, _: &mut Ctx<'_>, _: PortId, _: FrameBuf) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        if token.0 == 0 {
+            let mut buf = ctx.take_buf(200);
+            buf.extend(0u8..200);
+            self.sent_at = buf.as_ptr() as usize;
+            ctx.send(PortId(0), buf);
+        } else {
+            // A same-sized allocation first: had the sender's buffer gone
+            // back to the allocator instead of the pool, the allocator
+            // would hand it out here, not to `take_buf`.
+            let decoy: Vec<u8> = Vec::with_capacity(200);
+            let next = ctx.take_buf(200);
+            self.next_at = next.as_ptr() as usize;
+            drop(decoy);
+        }
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// Hands every received frame back to the pool, as `HostNode` does at the
+/// end of its receive path — or keeps it, when `keep` is set.
+struct Recycler {
+    keep: bool,
+    kept: Option<FrameBuf>,
+}
+
+impl Node for Recycler {
+    fn name(&self) -> &str {
+        "recycler"
+    }
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _: PortId, frame: FrameBuf) {
+        if self.keep {
+            self.kept = Some(frame);
+        } else {
+            ctx.recycle_frame(frame);
+        }
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// One pooled frame fanned out to 16 recycling listeners; `keeper` picks a
+/// listener that keeps its handle instead.
+fn recycling_fanout(keeper: Option<usize>) -> (World, netsim::NodeId, Vec<netsim::NodeId>) {
+    let mut world = World::new(7);
+    let lan = world.add_segment(SegmentConfig::default());
+    let b = world.add_node(PoolBuilder::default());
+    world.attach(b, lan);
+    let listeners: Vec<_> = (0..16)
+        .map(|i| {
+            let id = world.add_node(Recycler {
+                keep: keeper == Some(i),
+                kept: None,
+            });
+            world.attach(id, lan);
+            id
+        })
+        .collect();
+    world.run_until(SimTime::from_ms(2));
+    assert_eq!(world.frames_delivered(), 16);
+    (world, b, listeners)
+}
+
+#[test]
+fn recycling_fanout_returns_the_senders_buffer_to_the_pool() {
+    let (world, b, _) = recycling_fanout(None);
+    let builder = world.node::<PoolBuilder>(b);
+    // Fifteen listeners recycled a handle that was still shared; only the
+    // last one held the sole reference and reclaimed the sender's buffer.
+    assert_eq!(
+        builder.next_at, builder.sent_at,
+        "the next take_buf reuses the sender's allocation"
+    );
+}
+
+#[test]
+fn a_kept_handle_never_enters_the_pool() {
+    for keeper in [0, 15] {
+        let (world, b, listeners) = recycling_fanout(Some(keeper));
+        let builder = world.node::<PoolBuilder>(b);
+        let kept = world.node::<Recycler>(listeners[keeper]).kept.as_ref();
+        let kept = kept.expect("the keeper holds its frame");
+        assert_eq!(kept.as_ptr() as usize, builder.sent_at);
+        assert!(kept.iter().copied().eq(0u8..200), "kept bytes intact");
+        assert_ne!(
+            builder.next_at, builder.sent_at,
+            "keeper {keeper}: a buffer still held by a listener was pooled"
+        );
+    }
+}

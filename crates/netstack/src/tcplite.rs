@@ -231,7 +231,8 @@ pub struct SenderConfig {
     /// paper's testbed streamed 1024-byte ttcp writes (1790 frames/s on
     /// the wire) while ~50-byte writes collapsed to stop-and-wait
     /// (~360 frames/s); a threshold between the two reproduces both
-    /// regimes. Calibration knob, discussed in EXPERIMENTS.md.
+    /// regimes. Calibration knob; `ttcp_frame_rates_match_the_table` in
+    /// `tests/agility_and_perf.rs` holds both rates to the paper's bands.
     pub nagle_threshold: usize,
     /// Initial retransmission timeout (ns).
     pub init_rto_ns: u64,

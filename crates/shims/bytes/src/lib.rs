@@ -50,17 +50,38 @@ impl Bytes {
         Bytes::from_shared(Rc::new(data.to_vec()))
     }
 
+    #[inline]
     fn from_shared(buf: Rc<Vec<u8>>) -> Self {
         let len = buf.len();
         Bytes(Repr::Shared { buf, off: 0, len })
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        match &self.0 {
+            Repr::Static(s) => s.len(),
+            Repr::Shared { len, .. } => *len,
+        }
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.len() == 0
+    }
+
+    /// True if this is the only handle to the whole backing storage, i.e.
+    /// exactly when [`Bytes::try_into_mut`] would succeed. Always false for
+    /// a static slice, a subrange or a handle with live clones. Matches
+    /// `bytes::Bytes::is_unique` (1.6+): a recycling path checks it in
+    /// place and moves only the frames it can reclaim.
+    #[inline]
+    pub fn is_unique(&self) -> bool {
+        match &self.0 {
+            Repr::Shared { buf, off, len } => {
+                *off == 0 && *len == buf.len() && Rc::strong_count(buf) == 1
+            }
+            Repr::Static(_) => false,
+        }
     }
 
     /// Returns a `Bytes` for the given subrange, sharing the allocation
@@ -100,18 +121,17 @@ impl Bytes {
     /// reference to the full backing storage; otherwise returns `self`
     /// unchanged. Matches `bytes::Bytes::try_into_mut` (1.4+) — the hook
     /// buffer-recycling paths use to reclaim a dead frame's allocation.
+    #[inline]
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
         match self.0 {
-            Repr::Shared { buf, off, len } if off == 0 && len == buf.len() => {
-                match Rc::try_unwrap(buf) {
-                    Ok(v) => Ok(BytesMut(v)),
-                    Err(buf) => Err(Bytes(Repr::Shared { buf, off, len })),
-                }
-            }
-            repr => Err(Bytes(repr)),
+            // A unique handle is the only strong reference, so the unwrap
+            // never clones.
+            Repr::Shared { buf, .. } if self.is_unique() => Ok(BytesMut(Rc::unwrap_or_clone(buf))),
+            _ => Err(self),
         }
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Static(s) => s,
@@ -128,12 +148,14 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -146,6 +168,7 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         // Zero-copy: the vector becomes the shared backing store.
         Bytes::from_shared(Rc::new(v))
@@ -280,6 +303,7 @@ impl BytesMut {
     }
 
     /// Convert into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.0)
     }
@@ -389,6 +413,40 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let b = Bytes::from(vec![1, 2, 3]);
         let _ = b.slice(1..9);
+    }
+
+    #[test]
+    fn is_unique_only_for_a_sole_full_range_shared_handle() {
+        let shared = Bytes::from(vec![5; 8]);
+        let shapes = [
+            shared.clone(),
+            shared.slice(2..),
+            Bytes::from_static(b"static"),
+        ];
+        assert!(!shared.is_unique(), "live clones share the storage");
+        drop(shared);
+        // The clone is consumed first, so the subrange is a sole handle
+        // by the time it is checked: still not unique, still not mutable.
+        for b in shapes {
+            assert!(!b.is_unique());
+            assert!(b.try_into_mut().is_err());
+        }
+        let sole = Bytes::from(vec![5; 8]);
+        assert!(sole.is_unique() && sole.try_into_mut().is_ok());
+    }
+
+    #[test]
+    fn len_reads_the_stored_length_in_every_shape() {
+        let shared = Bytes::from(vec![7; 10]);
+        for b in [
+            shared.clone(),
+            shared.slice(3..8),
+            Bytes::from_static(b"hello"),
+            Bytes::new(),
+        ] {
+            assert_eq!(b.len(), b.as_slice().len());
+            assert_eq!(b.is_empty(), b.as_slice().is_empty());
+        }
     }
 
     #[test]
